@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    SolverState,
     initial_state,
     integrate,
     write_trajectory_csv,
@@ -23,7 +22,7 @@ from .dynamics import (
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .network import run_decentralized, write_message_log_csv
 from .oracle import brute_force_solve
-from .problemfile import parse_problem
+from .problemfile import _parse_init, parse_problem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,13 +90,7 @@ def _resolve_init(args, problem, file_init):
         return initial_state(problem, "random", rng=np.random.default_rng(seed))
     with open(args.init, "r", encoding="utf-8") as fh:
         block = json.load(fh)
-    n, m = problem.total_dim, problem.multiplier_dim
-    return SolverState(
-        np.asarray(block.get("x", np.zeros(n)), dtype=float),
-        np.asarray(block.get("lambda", np.zeros(n)), dtype=float),
-        np.asarray(block.get("mu", np.zeros(m)), dtype=float),
-        0.0,
-    )
+    return _parse_init(block, problem)
 
 
 def _consensus_spread(problem, x) -> float:

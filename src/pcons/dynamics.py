@@ -34,10 +34,11 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .convex import Box, ConstraintMap, ConvexExpr, no_constraints
+from .convex import KINK_TOLERANCE, Box, ConstraintMap, ConvexExpr, no_constraints
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .pcmatrix import (
     AgentDims,
@@ -88,8 +89,9 @@ class ProblemInstance:
     """N agents, a coupling graph, and the consensus depth.
 
     Construction normalizes the Laplacian, builds the coupling matrix and
-    the gain, and precomputes the per-agent block layout used by the
-    velocity evaluations.  ``slater_probe=True`` additionally samples the
+    the gain, and precomputes the per-agent block layout.  The velocity
+    kernel is compiled on first use (``kernel``), so parsing and the
+    oracle never pay for it.  ``slater_probe=True`` additionally samples the
     feasible boxes looking for a strictly feasible point and warns (never
     errors) when none is found.
     """
@@ -135,14 +137,17 @@ class ProblemInstance:
             )
             for agent in self.agents
         )
-        self._stacked_lower = np.concatenate([a.box.lower for a in self.agents])
-        self._stacked_upper = np.concatenate([a.box.upper for a in self.agents])
         if slater_probe:
             self._probe_slater(rng)
 
     @property
     def total_dim(self) -> int:
         return self.dims.total
+
+    @cached_property
+    def kernel(self) -> "VelocityKernel":
+        """The agents compiled for the velocity field, on first use."""
+        return VelocityKernel(self.agents, self.neighbors, self.depth, self.gain)
 
     def block(self, i: int) -> slice:
         return self._block_slices[i]
@@ -162,15 +167,16 @@ class ProblemInstance:
 
     def constraint_values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(self.multiplier_dim)
-        for a, s, ms in zip(self.agents, self._block_slices, self._mu_slices):
-            out[ms] = a.constraints.value(x[s])
-        return out
+        if x.shape != (self.total_dim,):
+            raise InvalidInputError(
+                f"stacked vector of shape {x.shape}, expected ({self.total_dim},)"
+            )
+        return self.kernel.constraint_values(x)
 
     def box_violation(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        under = np.maximum(self._stacked_lower - x, 0.0)
-        over = np.maximum(x - self._stacked_upper, 0.0)
+        under = np.maximum(self.kernel.lower - x, 0.0)
+        over = np.maximum(x - self.kernel.upper, 0.0)
         return float(np.max(under + over, initial=0.0))
 
     def _probe_slater(self, rng, samples: int = 200):
@@ -241,68 +247,277 @@ def initial_state(problem: ProblemInstance, kind: str = "zeros", rng=None) -> So
     raise InvalidInputError(f"unknown initialization kind {kind!r}")
 
 
-# -- velocity field ----------------------------------------------------------
+# -- velocity kernel ---------------------------------------------------------
 
 
-def _agent_velocity(agent, xi, li, mi, neighbor_terms, depth, gain):
-    """Velocity of one agent's block.
+class _Atoms:
+    """One atom family of many expressions, flattened.
 
-    ``neighbor_terms`` is an iterable of (weight, x_j_shared, lam_j_shared)
-    in ascending neighbor order; the same routine backs the centralized
-    and the decentralized evaluations so both produce identical floats.
-    Returns (dx, dlam_shared, dmu, g_values).
+    ``coord`` indexes the stacked x and ``pos`` the accumulator the atoms
+    add into.  ``slots`` splits the atoms into groups that never repeat a
+    position, so adding the groups in turn accumulates duplicate atoms one
+    at a time, in the order their expression lists them, exactly like the
+    scatter-add in ``ConvexExpr``.
     """
-    g = agent.constraints.value(xi)
-    pp = np.maximum(mi + g, 0.0)
-    if agent.constraints.size:
-        base = agent.constraints.weighted_subgradient(xi, pp)
-    else:
-        base = np.zeros(xi.shape[0])
-    lam_vel = np.zeros(depth)
-    if neighbor_terms:
-        ui = xi[:depth] + li[:depth]
-        coup = np.zeros(depth)
-        for w, xj, lj in neighbor_terms:
-            coup += w * (ui - (xj + lj))
-            lam_vel += w * (xi[:depth] - xj)
-        base[:depth] += coup
-    flo, fhi = agent.objective.subgradient_interval(xi)
-    sel = np.minimum(np.maximum(-base, flo), fhi)
-    y = xi - sel - base
-    dx = 2.0 * gain * (agent.box.project(y) - xi)
-    dmu = gain * (pp - mi)
-    return dx, lam_vel, dmu, g
+
+    def __init__(self, parts, twice=False):
+        # parts: (pos offset, coord offset, idx, center or None, weight)
+        pos, coord, center, weight = [], [], [], [np.empty(0)]
+        for p0, c0, idx, cen, w in parts:
+            pos.extend((p0 + idx).tolist())
+            coord.extend((c0 + idx).tolist())
+            center.extend(() if cen is None else cen)
+            weight.append(2.0 * w if twice else w)
+        self.size = len(pos)
+        self.coord = np.asarray(coord, dtype=int)
+        self.center = np.asarray(center, dtype=float)
+        self.weight = np.concatenate(weight)
+        rank, seen = [], {}
+        for p in pos:
+            rank.append(seen.get(p, 0))
+            seen[p] = rank[-1] + 1
+        pos, rank = np.asarray(pos, dtype=int), np.asarray(rank, dtype=int)
+        if rank.max(initial=0) == 0:
+            self.slots = ((pos, slice(None)),) if self.size else ()
+        else:
+            self.slots = tuple((pos[rank == r], rank == r) for r in range(rank.max() + 1))
+
+    def add(self, acc, values):
+        for pos, sel in self.slots:
+            acc[pos] += values[sel]
 
 
-def _stacked_velocity(z, problem):
-    """Velocity of the packed state. Returns (dz, stacked g values)."""
-    n = problem.total_dim
-    x = z[:n]
-    lam = z[n : 2 * n]
-    mu = z[2 * n :]
-    dz = np.zeros_like(z)
-    gstack = np.empty(problem.multiplier_dim)
-    depth, gain = problem.depth, problem.gain
-    slices = problem._block_slices
-    for i, agent in enumerate(problem.agents):
-        s = slices[i]
-        ms = problem._mu_slices[i]
-        terms = [
-            (w, x[slices[j]][:depth], lam[slices[j]][:depth])
-            for j, w in problem.neighbors[i]
-        ]
-        dx, dlam_shared, dmu, g = _agent_velocity(
-            agent, x[s], lam[s], mu[ms], terms, depth, gain
+class _Dots:
+    """Constraint rows whose linear part or one atom family has one length.
+
+    Each row's dot product runs through ``np.vecdot`` at its exact length,
+    which reproduces the BLAS dot of ``ConvexExpr.value`` bit for bit.
+    """
+
+    def __init__(self, entries):
+        # entries: (row, coords, centers or None, weights, const or None)
+        rows, coord, center, weight, const = zip(*entries)
+        self.rows = np.asarray(rows, dtype=int)
+        self.coord = np.asarray(coord, dtype=int)
+        self.center = None if center[0] is None else np.asarray(center, dtype=float)
+        self.weight = np.asarray(weight, dtype=float)
+        self.const = None if const[0] is None else np.asarray(const, dtype=float)
+
+
+def _group_dots(entries):
+    """One ``_Dots`` per distinct length, shortest first."""
+    groups = {}
+    for entry in entries:
+        groups.setdefault(len(entry[1]), []).append(entry)
+    return tuple(_Dots(groups[length]) for length in sorted(groups))
+
+
+class VelocityKernel:
+    """A set of agents compiled into flat arrays for one velocity evaluation.
+
+    ``agents`` are ``AgentProblem`` rows and ``neighbors[i]`` lists row i's
+    (neighbor index, edge weight) pairs in ascending order.  The arrays
+    hold the objective atoms in stacked coordinates, the constraint rows
+    grouped by exact length and as per-column subgradient entries, the
+    neighbor table padded with zero weights, and the stacked box bounds.
+    ``evaluate`` applies one fixed sequence of numpy operations to every
+    row; each row reads only its own block and the payloads delivered to
+    it.  An objective that is not a ``ConvexExpr`` is asked for its own
+    ``subgradient_interval`` on its block.
+    """
+
+    def __init__(self, agents, neighbors, depth, gain):
+        agents = tuple(agents)
+        self.depth, self.gain, self.twice_gain = depth, gain, 2.0 * gain
+        dims = [a.dim for a in agents]
+        sizes = [a.constraints.size for a in agents]
+        off = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        mu_off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        self.total_dim, self.multiplier_dim = int(off[-1]), int(mu_off[-1])
+        self.blocks = tuple(slice(int(off[i]), int(off[i + 1])) for i in range(len(agents)))
+        self.mu_blocks = tuple(
+            slice(int(mu_off[i]), int(mu_off[i + 1])) for i in range(len(agents))
         )
-        dz[: n][s] = dx
-        dz[n : 2 * n][s][:depth] = dlam_shared
-        dz[2 * n :][ms] = dmu
-        gstack[ms] = g
-    return dz, gstack
+        self.shared = off[:-1, None] + np.arange(depth)
+        self.lower = np.concatenate([a.box.lower for a in agents])
+        self.upper = np.concatenate([a.box.upper for a in agents])
+
+        # neighbors, padded with zero weight on the row itself
+        width = max((len(nb) for nb in neighbors), default=0)
+        self.nbr = np.tile(np.arange(len(agents))[:, None], (1, width))
+        weights = np.zeros((len(agents), width))
+        for i, nb in enumerate(neighbors):
+            for k, (j, w) in enumerate(nb):
+                self.nbr[i, k], weights[i, k] = j, w
+        self.weight_columns = tuple(weights[:, k, None].copy() for k in range(width))
+        self.edges = tuple((i, j) for i, nb in enumerate(neighbors) for j, _ in nb)
+
+        # objective atoms in stacked coordinates
+        lin = np.zeros(self.total_dim)
+        opaque = []
+        quad, abs_, exp = [], [], []
+        for a, s in zip(agents, self.blocks):
+            f = a.objective
+            if not isinstance(f, ConvexExpr):
+                opaque.append((s, f))
+                continue
+            lin[s] = f.lin
+            quad.append((s.start, s.start, f.quad_idx, f.quad_center, f.quad_weight))
+            abs_.append((s.start, s.start, f.abs_idx, f.abs_center, f.abs_weight))
+            exp.append((s.start, s.start, f.exp_idx, None, f.exp_weight))
+        self.lin, self.opaque = lin, tuple(opaque)
+        self.quad = _Atoms(quad, twice=True)
+        self.abs = _Atoms(abs_)
+        self.exp = _Atoms(exp)
+
+        # constraint rows: values grouped by length; subgradients as entries
+        # column by column (the c-th row of every agent that has one)
+        values = {"lin": [], "quad": [], "abs": [], "exp": []}
+        con_lin, columns = [], []
+        sub = {"quad": [], "abs": [], "exp": []}
+        for c in range(max(sizes, default=0)):
+            coord, rows, start = [], [], len(con_lin)
+            for i, a in enumerate(agents):
+                if c >= sizes[i]:
+                    continue
+                g, s, r = a.constraints.components[c], self.blocks[i], int(mu_off[i]) + c
+                p0 = len(con_lin)
+                con_lin.extend(g.lin.tolist())
+                coord.extend(range(s.start, s.stop))
+                rows.extend([r] * dims[i])
+                values["lin"].append((r, np.arange(s.start, s.stop), None, g.lin, g.const))
+                for fam, cen in (("quad", g.quad_center), ("abs", g.abs_center), ("exp", None)):
+                    idx, w = getattr(g, f"{fam}_idx"), getattr(g, f"{fam}_weight")
+                    sub[fam].append((p0, s.start, idx, cen, w))
+                    if len(idx):
+                        values[fam].append((r, s.start + idx, cen, w, None))
+            columns.append((np.asarray(coord, dtype=int), np.asarray(rows, dtype=int),
+                            slice(start, len(con_lin))))
+        self.con_lin = np.asarray(con_lin, dtype=float)
+        self.con_columns = tuple(columns)
+        self.con_quad = _Atoms(sub["quad"], twice=True)
+        self.con_abs = _Atoms(sub["abs"])
+        self.con_exp = _Atoms(sub["exp"])
+        self.value_dots = {fam: _group_dots(v) for fam, v in values.items()}
+
+    def payloads(self, x, lam):
+        """The payload table: every row's shared (x, lambda) prefix."""
+        return x[self.shared], lam[self.shared]
+
+    def constraint_values(self, x):
+        """g(x) of every constraint row, as ``ConvexExpr.value`` computes it."""
+        g = np.empty(self.multiplier_dim)
+        for d in self.value_dots["lin"]:
+            g[d.rows] = np.vecdot(d.weight, x[d.coord]) + d.const
+        for d in self.value_dots["quad"]:
+            diff = x[d.coord] - d.center
+            g[d.rows] += np.vecdot(d.weight, diff * diff)
+        for d in self.value_dots["abs"]:
+            g[d.rows] += np.vecdot(d.weight, np.abs(x[d.coord] - d.center))
+        for d in self.value_dots["exp"]:
+            g[d.rows] += np.vecdot(d.weight, np.exp(x[d.coord]))
+        return g
+
+    def evaluate(self, x, lam, mu, recv_x, recv_lam):
+        """Velocity of every row from its block and its delivered payloads.
+
+        ``recv_x`` and ``recv_lam`` have shape (rows, table width, depth):
+        the payloads each row received, in its neighbor order.  Returns
+        (dx, dlambda of the shared block as (rows, depth), dmu, g).
+        """
+        # constraints: values, then sum_j p_j * subgradient(g_j), skipping p_j == 0
+        g = self.constraint_values(x)
+        pp = np.maximum(mu + g, 0.0)
+        base = np.zeros(self.total_dim)
+        if self.con_lin.size:
+            sub = self.con_lin.copy()
+            if self.con_quad.size:
+                q = self.con_quad
+                q.add(sub, q.weight * (x[q.coord] - q.center))
+            if self.con_abs.size:
+                a = self.con_abs
+                d = x[a.coord] - a.center
+                a.add(sub, a.weight * np.where(np.abs(d) < KINK_TOLERANCE, 0.0, np.sign(d)))
+            if self.con_exp.size:
+                e = self.con_exp
+                e.add(sub, e.weight * np.exp(x[e.coord]))
+            for coord, rows, sl in self.con_columns:
+                m = pp[rows]
+                on = m != 0.0
+                base[coord[on]] += m[on] * sub[sl][on]
+
+        # coupling with the delivered neighbor payloads, one column at a time
+        xs, ls = self.payloads(x, lam)
+        us = xs + ls
+        coup = np.zeros_like(xs)
+        dlam = np.zeros_like(xs)
+        for k, w in enumerate(self.weight_columns):
+            xj = recv_x[:, k]
+            coup += w * (us - (xj + recv_lam[:, k]))
+            dlam += w * (xs - xj)
+        base[self.shared] += coup
+
+        # objective subdifferential interval: quad, exp, then abs
+        lo = self.lin.copy()
+        if self.quad.size:
+            q = self.quad
+            q.add(lo, q.weight * (x[q.coord] - q.center))
+        if self.exp.size:
+            e = self.exp
+            e.add(lo, e.weight * np.exp(x[e.coord]))
+        hi = lo.copy()
+        if self.abs.size:
+            a = self.abs
+            d = x[a.coord] - a.center
+            at_kink = np.abs(d) < KINK_TOLERANCE
+            s = np.where(at_kink, 0.0, np.sign(d))
+            a.add(lo, a.weight * np.where(at_kink, -1.0, s))
+            a.add(hi, a.weight * np.where(at_kink, 1.0, s))
+        for blk, objective in self.opaque:
+            lo[blk], hi[blk] = objective.subgradient_interval(x[blk])
+
+        sel = np.minimum(np.maximum(-base, lo), hi)
+        y = x - sel - base
+        dx = self.twice_gain * (np.minimum(np.maximum(y, self.lower), self.upper) - x)
+        dmu = self.gain * (pp - mu)
+        return dx, dlam, dmu, g
+
+    def packed(self, velocity) -> np.ndarray:
+        """(dx, dlambda, dmu) of ``evaluate`` as one vector like the state."""
+        dx, dlam, dmu, _ = velocity
+        n = self.total_dim
+        dz = np.zeros(2 * n + self.multiplier_dim)
+        dz[:n] = dx
+        dz[n : 2 * n][self.shared] = dlam
+        dz[2 * n :] = dmu
+        return dz
+
+
+def _packed_velocity(z, problem):
+    """Velocity of the packed state. Returns (dz, stacked g values)."""
+    kernel = problem.kernel
+    n = problem.total_dim
+    x, lam, mu = z[:n], z[n : 2 * n], z[2 * n :]
+    px, pl = kernel.payloads(x, lam)
+    velocity = kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
+    return kernel.packed(velocity), velocity[3]
+
+
+def _check_state(state, problem) -> None:
+    """Reject a state whose arrays do not fit ``problem`` or are not finite."""
+    n, m = problem.total_dim, problem.multiplier_dim
+    for name, arr, want in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m)):
+        arr = np.asarray(arr)
+        if arr.shape != (want,):
+            raise InvalidInputError(f"state.{name} has shape {arr.shape}, expected ({want},)")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"state.{name} has non-finite entries")
+    if not np.isfinite(state.t):
+        raise InvalidInputError(f"state time {state.t} is not finite")
 
 
 def _pack(state: SolverState) -> np.ndarray:
-    return np.concatenate([state.x, state.lam, state.mu])
+    return np.concatenate([state.x, state.lam, state.mu], dtype=float)
 
 
 def _unpack(z, problem, t) -> SolverState:
@@ -312,8 +527,8 @@ def _unpack(z, problem, t) -> SolverState:
 
 def rhs(state: SolverState, problem: ProblemInstance):
     """(dx, dlambda, dmu) of the flow at ``state``."""
-    z = _pack(state)
-    dz, _ = _stacked_velocity(z, problem)
+    _check_state(state, problem)
+    dz, _ = _packed_velocity(_pack(state), problem)
     if not np.all(np.isfinite(dz)):
         raise NumericalError(f"non-finite velocity at t={state.t}")
     n = problem.total_dim
@@ -339,8 +554,8 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
     complementarity ||p - mu||, feasibility the norm of the positive
     part of g(x).
     """
-    z = _pack(state)
-    dz, gstack = _stacked_velocity(z, problem)
+    _check_state(state, problem)
+    dz, gstack = _packed_velocity(_pack(state), problem)
     return _residuals(dz, gstack, problem)
 
 
@@ -349,12 +564,12 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
 
 def _advance(z, problem, h, method):
     """One explicit step from packed state ``z``; returns (z_new, k1)."""
-    k1, _ = _stacked_velocity(z, problem)
+    k1, _ = _packed_velocity(z, problem)
     if method == "euler":
         return z + h * k1, k1
-    k2, _ = _stacked_velocity(z + (0.5 * h) * k1, problem)
-    k3, _ = _stacked_velocity(z + (0.5 * h) * k2, problem)
-    k4, _ = _stacked_velocity(z + h * k3, problem)
+    k2, _ = _packed_velocity(z + (0.5 * h) * k1, problem)
+    k3, _ = _packed_velocity(z + (0.5 * h) * k2, problem)
+    k4, _ = _packed_velocity(z + h * k3, problem)
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
@@ -364,6 +579,7 @@ def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "
         raise InvalidInputError(f"step size must be positive, got {h}")
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
+    _check_state(state, problem)
     z_new, _ = _advance(_pack(state), problem, h, method)
     t_new = state.t + h
     if not np.all(np.isfinite(z_new)):
@@ -479,9 +695,8 @@ def integrate(
         raise InvalidInputError("record_every must be at least 1")
 
     state0 = init if init is not None else initial_state(problem, "zeros")
+    _check_state(state0, problem)
     z = _pack(state0)
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("initial state contains non-finite entries")
     t0 = state0.t
 
     times, states, residuals, objectives, violations = [], [], [], [], []
@@ -499,7 +714,7 @@ def integrate(
     steps = 0
     while True:
         t = t0 + steps * h
-        dz, gstack = _stacked_velocity(z, problem)
+        dz, gstack = _packed_velocity(z, problem)
         res = _residuals(dz, gstack, problem)
         due = steps % record_every == 0
         if res.max_component <= kkt_tol:
@@ -516,9 +731,9 @@ def integrate(
         if method == "euler":
             z_new = z + h * dz
         else:
-            k2, _ = _stacked_velocity(z + (0.5 * h) * dz, problem)
-            k3, _ = _stacked_velocity(z + (0.5 * h) * k2, problem)
-            k4, _ = _stacked_velocity(z + h * k3, problem)
+            k2, _ = _packed_velocity(z + (0.5 * h) * dz, problem)
+            k3, _ = _packed_velocity(z + (0.5 * h) * k2, problem)
+            k4, _ = _packed_velocity(z + h * k3, problem)
             z_new = z + (h / 6.0) * (dz + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(z_new)):
             raise NumericalError(f"non-finite state produced at t={t + h}")

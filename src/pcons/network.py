@@ -3,10 +3,12 @@
 Each agent owns only its objective, constraints and box, plus the
 Laplacian weights of its incident edges.  In every synchronous round the
 agents exchange the shared components of (x_i, lambda_i) along graph
-edges and advance their own blocks with the same per-agent velocity
-routine the centralized integrator uses, so a decentralized run
-reproduces the centralized trajectory bit for bit.  The "network" is an
-in-process simulation: rounds are lockstep, there is no loss or delay.
+edges, and then the compiled velocity kernel of ``pcons.dynamics``
+evaluates every agent's row at once.  A row reads only its own block and
+the payloads delivered to it, and it goes through the same operations as
+in the centralized integrator, so a decentralized run reproduces the
+centralized trajectory bit for bit.  The "network" is an in-process
+simulation: rounds are lockstep, there is no loss or delay.
 
 rk4 needs neighbor values at every stage state, so one rk4 step costs
 four exchanges; Euler costs one.
@@ -23,7 +25,8 @@ from .dynamics import (
     ProblemInstance,
     SolverState,
     Trajectory,
-    _agent_velocity,
+    VelocityKernel,
+    _check_state,
     _residuals,
     capture_agent_kinks,
     initial_state,
@@ -50,21 +53,32 @@ class Agent:
 
     ``neighbors`` lists (0-based neighbor index, edge weight) in
     ascending index order; the weights are the negated off-diagonal
-    Laplacian entries, so they are positive.
+    Laplacian entries, so they are positive.  Assigning ``problem``
+    discards every kernel compiled from the previous one.
     """
 
     def __init__(self, agent_id, problem, depth, gain, neighbors, capture_table,
                  x, lam, mu):
         self.id = agent_id  # 1-based, for logs
-        self.problem: AgentProblem = problem
         self.depth = depth
         self.gain = gain
         self.neighbors = tuple(neighbors)
+        self.problem: AgentProblem = problem
         self.capture_table = tuple(capture_table)
         self.x = np.asarray(x, dtype=float).copy()
         self.lam = np.asarray(lam, dtype=float).copy()
         self.mu = np.asarray(mu, dtype=float).copy()
         self.round_index = 0
+
+    @property
+    def problem(self) -> AgentProblem:
+        return self._problem
+
+    @problem.setter
+    def problem(self, value):
+        self._problem = value
+        self._own = None  # one-agent kernel, compiled on first use
+        self._stack = None  # the stacked kernel this agent is a row of
 
     def payload(self, x=None, lam=None):
         """Shared components broadcast to neighbors (stage state override)."""
@@ -76,15 +90,23 @@ class Agent:
         """Velocity of the own block from own data plus neighbor payloads.
 
         ``received`` maps neighbor index to (x_shared, lam_shared); a
-        missing payload is a protocol violation.
+        missing payload is a protocol violation.  Runs the velocity kernel
+        on this agent's one-agent slice and returns (dx, dlambda_shared,
+        dmu, g).
         """
-        terms = []
-        for j, w in self.neighbors:
+        for j, _w in self.neighbors:
             if j not in received:
                 raise ProtocolError(f"agent {self.id} missing payload from agent {j + 1}")
-            xj, lj = received[j]
-            terms.append((w, xj, lj))
-        return _agent_velocity(self.problem, x, lam, mu, terms, self.depth, self.gain)
+        if self._own is None:
+            self._own = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
+        shape = (1, len(self.neighbors), self.depth)
+        recv_x = np.array([received[j][0] for j, _ in self.neighbors], dtype=float)
+        recv_lam = np.array([received[j][1] for j, _ in self.neighbors], dtype=float)
+        dx, dlam, dmu, g = self._own.evaluate(
+            np.asarray(x, dtype=float), np.asarray(lam, dtype=float),
+            np.asarray(mu, dtype=float), recv_x.reshape(shape), recv_lam.reshape(shape),
+        )
+        return dx, dlam[0], dmu, g
 
 
 def build_agents(problem: ProblemInstance, init: SolverState = None):
@@ -114,107 +136,81 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
                 mu=state.mu[ms],
             )
         )
+    for agent in agents:
+        agent._stack = problem.kernel
     return agents
 
 
-def _exchange(agents, stage_x, stage_lam, log, round_index):
-    """Deliver shared payloads along every directed edge.
-
-    Returns per-agent dicts neighbor-index -> payload and the number of
-    directed payloads sent.
-    """
-    payloads = [a.payload(stage_x[i], stage_lam[i]) for i, a in enumerate(agents)]
-    received = [{} for _ in agents]
-    count = 0
-    for i, agent in enumerate(agents):
-        for j, _w in agent.neighbors:
-            received[i][j] = payloads[j]
-            count += 1
-            if log is not None:
-                log.append(
-                    Message(
-                        round_index=round_index,
-                        sender=agents[j].id,
-                        receiver=agent.id,
-                        x_shared=payloads[j][0],
-                        lam_shared=payloads[j][1],
-                    )
-                )
-    return received, count
-
-
-def _stage_velocities(agents, stage_x, stage_lam, stage_mu, log, round_index):
-    """One exchange followed by every agent's local velocity."""
-    received, count = _exchange(agents, stage_x, stage_lam, log, round_index)
-    vel = []
-    for i, agent in enumerate(agents):
-        vel.append(
-            agent.local_velocity(stage_x[i], stage_lam[i], stage_mu[i], received[i])
+def _stacked_kernel(agents) -> VelocityKernel:
+    """The kernel whose rows are ``agents``, compiled from their own data."""
+    kernel = agents[0]._stack
+    if kernel is None or len(kernel.blocks) != len(agents) or any(
+        a._stack is not kernel for a in agents
+    ):
+        kernel = VelocityKernel(
+            [a.problem for a in agents], [a.neighbors for a in agents],
+            agents[0].depth, agents[0].gain,
         )
-    return vel, count
+        for agent in agents:
+            agent._stack = kernel
+    return kernel
 
 
-def _round_from_first_stage(agents, h, method, k1, log, capture=True):
-    """Advance all agents one step, reusing the already-exchanged stage 1.
+def _stage(kernel, x, lam, mu, log, round_index):
+    """One exchange, then every row's velocity from what it received.
 
-    Returns the number of directed payloads sent by the remaining
-    exchanges.
+    Each agent sends its shared prefix along every incident edge; a
+    receiver's payloads are gathered from the senders' payload table.
+    Payloads are logged receiver by receiver, neighbors ascending.
+    Returns the kernel's velocity and the number of directed payloads.
     """
-    count = 0
-    xs = [a.x for a in agents]
-    ls = [a.lam for a in agents]
-    ms = [a.mu for a in agents]
-    rnd = agents[0].round_index
-    if method == "euler":
-        newx = [x + h * v[0] for x, v in zip(xs, k1)]
-        newl = []
-        for lam, v, a in zip(ls, k1, agents):
-            nl = lam.copy()
-            nl[: a.depth] += h * v[1]
-            newl.append(nl)
-        newm = [mu + h * v[2] for mu, v in zip(ms, k1)]
-    else:
-        def at(coef, vel):
-            sx = [x + coef * v[0] for x, v in zip(xs, vel)]
-            sl = []
-            for lam, v, a in zip(ls, vel, agents):
-                nl = lam.copy()
-                nl[: a.depth] += coef * v[1]
-                sl.append(nl)
-            sm = [mu + coef * v[2] for mu, v in zip(ms, vel)]
-            return sx, sl, sm
+    px, pl = kernel.payloads(x, lam)
+    if log is not None:
+        xs, ls = list(px), list(pl)
+        log.extend(
+            Message(round_index=round_index, sender=j + 1, receiver=i + 1,
+                    x_shared=xs[j], lam_shared=ls[j])
+            for i, j in kernel.edges
+        )
+    velocity = kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
+    return velocity, len(kernel.edges)
 
-        s2 = at(0.5 * h, k1)
-        k2, c = _stage_velocities(agents, *s2, log, rnd)
-        count += c
-        s3 = at(0.5 * h, k2)
-        k3, c = _stage_velocities(agents, *s3, log, rnd)
-        count += c
-        s4 = at(h, k3)
-        k4, c = _stage_velocities(agents, *s4, log, rnd)
-        count += c
-        newx, newl, newm = [], [], []
-        for i, a in enumerate(agents):
-            newx.append(
-                xs[i] + (h / 6.0) * (k1[i][0] + 2.0 * k2[i][0] + 2.0 * k3[i][0] + k4[i][0])
-            )
-            nl = ls[i].copy()
-            nl[: a.depth] += (h / 6.0) * (
-                k1[i][1] + 2.0 * k2[i][1] + 2.0 * k3[i][1] + k4[i][1]
-            )
-            newl.append(nl)
-            newm.append(
-                ms[i] + (h / 6.0) * (k1[i][2] + 2.0 * k2[i][2] + 2.0 * k3[i][2] + k4[i][2])
-            )
-    for i, agent in enumerate(agents):
-        if capture and agent.capture_table:
-            capture_agent_kinks(
-                agent.problem, agent.capture_table, newx[i], agent.x,
-                k1[i][0], newm[i], h, agent.gain,
-            )
-        agent.x, agent.lam, agent.mu = newx[i], newl[i], newm[i]
-        agent.round_index += 1
-    return count
+
+def _advance(agents, kernel, x, lam, mu, k1, h, method, log, round_index, capture):
+    """One step of every agent from the already-exchanged stage 1.
+
+    Returns the new (x, lambda, mu) and the number of directed payloads
+    sent by the remaining exchanges.
+    """
+    shared = kernel.shared
+
+    def at(coef, vel):
+        stage_lam = lam.copy()
+        stage_lam[shared] += coef * vel[1]
+        return x + coef * vel[0], stage_lam, mu + coef * vel[2]
+
+    count = 0
+    if method == "euler":
+        new_x, new_lam, new_mu = at(h, k1)
+    else:
+        k2, c2 = _stage(kernel, *at(0.5 * h, k1), log, round_index)
+        k3, c3 = _stage(kernel, *at(0.5 * h, k2), log, round_index)
+        k4, c4 = _stage(kernel, *at(h, k3), log, round_index)
+        count = c2 + c3 + c4
+        dx, dlam, dmu = (
+            (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for a, b, c, d in zip(k1[:3], k2[:3], k3[:3], k4[:3])
+        )
+        new_x, new_lam, new_mu = x + dx, lam.copy(), mu + dmu
+        new_lam[shared] += dlam
+    if capture:
+        for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
+            if agent.capture_table:
+                capture_agent_kinks(
+                    agent.problem, agent.capture_table, new_x[s], x[s],
+                    k1[0][s], new_mu[ms], h, agent.gain,
+                )
+    return (new_x, new_lam, new_mu), count
 
 
 def synchronous_round(agents, h, method="rk4", capture=True, log=None):
@@ -230,19 +226,14 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
     if len(rounds) != 1:
         raise ProtocolError(f"agents out of sync: round numbers {sorted(rounds)}")
     rnd = agents[0].round_index
-    xs = [a.x for a in agents]
-    ls = [a.lam for a in agents]
-    ms = [a.mu for a in agents]
-    k1, count = _stage_velocities(agents, xs, ls, ms, log, rnd)
-    count += _round_from_first_stage(agents, h, method, k1, log, capture=capture)
-    return agents, count
-
-
-def _assemble(agents, problem, t) -> SolverState:
-    x = np.concatenate([a.x for a in agents])
-    lam = np.concatenate([a.lam for a in agents])
-    mu = np.concatenate([a.mu for a in agents])
-    return SolverState(x, lam, mu, t)
+    kernel = _stacked_kernel(agents)
+    x, lam, mu = (np.concatenate([getattr(a, f) for a in agents]) for f in ("x", "lam", "mu"))
+    k1, count = _stage(kernel, x, lam, mu, log, rnd)
+    (x, lam, mu), more = _advance(agents, kernel, x, lam, mu, k1, h, method, log, rnd, capture)
+    for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
+        agent.x, agent.lam, agent.mu = x[s], lam[s], mu[ms]
+        agent.round_index += 1
+    return agents, count + more
 
 
 def run_decentralized(
@@ -259,7 +250,8 @@ def run_decentralized(
     """Decentralized counterpart of ``integrate`` with identical results.
 
     Termination, recording and kink capture follow the centralized
-    integrator exactly; additionally the trajectory carries the total
+    integrator exactly, and a ``DivergenceError`` likewise carries the
+    last finite state; additionally the trajectory carries the total
     number of directed payloads and the per-step cost.  Pass a list as
     ``message_log`` to record every payload.
     """
@@ -269,17 +261,20 @@ def run_decentralized(
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
     if record_every < 1:
         raise InvalidInputError("record_every must be at least 1")
+    state0 = init if init is not None else initial_state(problem, "zeros")
+    _check_state(state0, problem)
 
-    agents = build_agents(problem, init)
-    t0 = init.t if init is not None else 0.0
-    n = problem.total_dim
+    agents = build_agents(problem, state0)
+    kernel = _stacked_kernel(agents)
+    x, lam, mu = (np.array(a, dtype=float) for a in (state0.x, state0.lam, state0.mu))
+    t0 = state0.t
 
     times, states, residuals, objectives, violations = [], [], [], [], []
     started = time.perf_counter()
     total_messages = 0
 
     def record(t, res):
-        st = _assemble(agents, problem, t)
+        st = SolverState(x.copy(), lam.copy(), mu.copy(), t)
         times.append(t)
         states.append(st)
         residuals.append(res)
@@ -290,22 +285,9 @@ def run_decentralized(
     steps = 0
     while True:
         t = t0 + steps * h
-        xs = [a.x for a in agents]
-        ls = [a.lam for a in agents]
-        ms = [a.mu for a in agents]
-        k1, count = _stage_velocities(agents, xs, ls, ms, message_log, steps)
+        k1, count = _stage(kernel, x, lam, mu, message_log, steps)
         total_messages += count
-        # assemble the stacked velocity exactly as the centralized code does
-        dz = np.zeros(2 * n + problem.multiplier_dim)
-        gstack = np.empty(problem.multiplier_dim)
-        for i in range(len(agents)):
-            s = problem.block(i)
-            ms_sl = problem.mu_block(i)
-            dz[:n][s] = k1[i][0]
-            dz[n : 2 * n][s][: problem.depth] = k1[i][1]
-            dz[2 * n :][ms_sl] = k1[i][2]
-            gstack[ms_sl] = k1[i][3]
-        res = _residuals(dz, gstack, problem)
+        res = _residuals(kernel.packed(k1), k1[3], problem)
         if res.max_component <= kkt_tol:
             record(t, res)
             stop_reason = "kkt_converged"
@@ -316,22 +298,22 @@ def run_decentralized(
             break
         if steps % record_every == 0:
             record(t, res)
-        total_messages += _round_from_first_stage(
-            agents, h, method, k1, message_log, capture=capture_kinks
+        new, count = _advance(
+            agents, kernel, x, lam, mu, k1, h, method, message_log, steps, capture_kinks
         )
-        flat = _assemble(agents, problem, t + h)
-        z_new = np.concatenate([flat.x, flat.lam, flat.mu])
+        total_messages += count
+        z_new = np.concatenate(new)
         if not np.all(np.isfinite(z_new)):
             raise NumericalError(f"non-finite state produced at t={t + h}")
         if np.linalg.norm(z_new) > DIVERGENCE_NORM:
             raise DivergenceError(
                 f"state norm exceeded {DIVERGENCE_NORM:g} at t={t + h}",
-                state=states[-1] if states else None,
+                state=SolverState(x.copy(), lam.copy(), mu.copy(), t),
                 t=t + h,
             )
+        x, lam, mu = new
         steps += 1
 
-    edges = sum(len(a.neighbors) for a in agents)
     return Trajectory(
         times=times,
         states=states,
@@ -343,7 +325,7 @@ def run_decentralized(
         wall_time=time.perf_counter() - started,
         message_rounds=steps,
         message_count=total_messages,
-        messages_per_step=edges * (1 if method == "euler" else 4),
+        messages_per_step=len(kernel.edges) * (1 if method == "euler" else 4),
     )
 
 

@@ -24,7 +24,8 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidInputError("brute force needs bounded boxes")
     count = int(np.floor((hi - lo) / step + 1e-9))
-    pts = lo + step * np.arange(count + 1)
+    # lo + step*k can round past hi; the clamp keeps every point in the box
+    pts = np.minimum(lo + step * np.arange(count + 1), hi)
     if hi - pts[-1] > 1e-12 * max(1.0, abs(hi)):
         pts = np.append(pts, hi)
     return pts

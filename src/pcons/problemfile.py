@@ -369,13 +369,19 @@ def parse_problem_dict(doc: dict, slater_probe: bool = True) -> LoadedProblem:
 
 
 def _parse_init(block, problem) -> SolverState:
+    """An initial state from an {x, lambda, mu} object; missing arrays are zeros."""
+    if not isinstance(block, dict):
+        raise ExpressionError("init must be an object with x, lambda and mu arrays")
     unknown = set(block) - {"x", "lambda", "mu"}
     if unknown:
         raise ExpressionError(f"init block has unknown keys {sorted(unknown)}")
     n, m = problem.total_dim, problem.multiplier_dim
-    x = np.asarray(block.get("x", np.zeros(n)), dtype=float)
-    lam = np.asarray(block.get("lambda", np.zeros(n)), dtype=float)
-    mu = np.asarray(block.get("mu", np.zeros(m)), dtype=float)
+    try:
+        x = np.asarray(block.get("x", np.zeros(n)), dtype=float)
+        lam = np.asarray(block.get("lambda", np.zeros(n)), dtype=float)
+        mu = np.asarray(block.get("mu", np.zeros(m)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ExpressionError(f"init arrays must hold numbers: {exc}") from exc
     for name, arr, want in (("x", x, n), ("lambda", lam, n), ("mu", mu, m)):
         if arr.shape != (want,):
             raise ExpressionError(f"init.{name} must have length {want}")

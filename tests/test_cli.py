@@ -156,3 +156,17 @@ class TestErrorPaths:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["solve", str(path)]) == 1
         assert "non-convex" in capsys.readouterr().err
+
+    def test_init_file_of_wrong_length(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"x": [1.5, 1.5]}), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["solve", EX2, "--out", str(out), "--init", str(init)]) == 1
+        assert "init.x must have length 5" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_init_file_with_non_finite_entry(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text('{"x": [1.5, NaN, 1.5, 1.5, 1.5]}', encoding="utf-8")
+        assert main(["solve", EX2, "--out", str(tmp_path / "run"), "--init", str(init)]) == 1
+        assert "non-finite" in capsys.readouterr().err

@@ -320,3 +320,38 @@ class TestInitialState:
     def test_unknown_kind(self, example2):
         with pytest.raises(InvalidInputError):
             initial_state(example2.problem, "ones")
+
+
+class TestStateValidation:
+    """A state that does not fit the problem is rejected, never re-sliced."""
+
+    @staticmethod
+    def bad_states(problem):
+        n, m = problem.total_dim, problem.multiplier_dim
+        good = (np.ones(n), np.zeros(n), np.zeros(m))
+        yield SolverState(np.ones(2), good[1], good[2])  # x too short
+        yield SolverState(good[0], np.zeros(n + 1), good[2])  # lambda too long
+        yield SolverState(good[0], good[1], np.zeros((m, 1)))  # mu not 1-d
+        yield SolverState(np.array([1.0, np.nan, 1.0, 1.0, 1.0]), good[1], good[2])
+        yield SolverState(good[0], np.array([0.0, 0.0, np.inf, 0.0, 0.0]), good[2])
+        yield SolverState(*good, t=np.nan)
+
+    def test_integrate(self, example2):
+        for state in self.bad_states(example2.problem):
+            with pytest.raises(InvalidInputError):
+                integrate(example2.problem, init=state, h=1e-3, t_max=0.01)
+
+    def test_step(self, example2):
+        for state in self.bad_states(example2.problem):
+            with pytest.raises(InvalidInputError):
+                step(state, example2.problem, 1e-3, "rk4")
+
+    def test_rhs(self, example2):
+        for state in self.bad_states(example2.problem):
+            with pytest.raises(InvalidInputError):
+                rhs(state, example2.problem)
+
+    def test_kkt_residual(self, example2):
+        for state in self.bad_states(example2.problem):
+            with pytest.raises(InvalidInputError):
+                kkt_residual(state, example2.problem)

@@ -4,7 +4,7 @@ import pytest
 
 from pcons import convex
 from pcons.dynamics import AgentProblem, ProblemInstance, SolverState, initial_state, integrate, step
-from pcons.errors import InvalidInputError, ProtocolError
+from pcons.errors import DivergenceError, InvalidInputError, ProtocolError
 from pcons.network import build_agents, run_decentralized, synchronous_round
 
 from conftest import random_problem
@@ -216,3 +216,31 @@ class TestLocalityAndFreeze:
         assert xs.shape == (1,) and ls.shape == (1,)
         xs[0] = 99.0
         assert agents[1].x[0] != 99.0
+
+
+class TestStateValidation:
+    def test_run_decentralized_rejects_wrong_length_state(self, example2):
+        state = SolverState(np.ones(2), np.zeros(5), np.zeros(3))
+        with pytest.raises(InvalidInputError):
+            run_decentralized(example2.problem, init=state, h=1e-3, t_max=0.01)
+
+    def test_run_decentralized_rejects_non_finite_state(self, example2):
+        state = SolverState(np.ones(5), np.zeros(5), np.array([0.0, np.inf, 0.0]))
+        with pytest.raises(InvalidInputError):
+            run_decentralized(example2.problem, init=state, h=1e-3, t_max=0.01)
+
+
+class TestDivergence:
+    def test_both_modes_carry_the_last_finite_state(self, example2):
+        # euler at h=0.3 is unstable on example2; records every 5th step only
+        kwargs = dict(h=0.3, method="euler", t_max=100.0, kkt_tol=1e-6, record_every=5)
+        with pytest.raises(DivergenceError) as central:
+            integrate(example2.problem, **kwargs)
+        with pytest.raises(DivergenceError) as decentral:
+            run_decentralized(example2.problem, **kwargs)
+        a, b = central.value, decentral.value
+        assert a.t == b.t and a.state.t == b.state.t
+        assert a.state.t == pytest.approx(a.t - 0.3)
+        for name in ("x", "lam", "mu"):
+            assert np.array_equal(getattr(a.state, name), getattr(b.state, name))
+            assert np.all(np.isfinite(getattr(b.state, name)))

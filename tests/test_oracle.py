@@ -1,12 +1,13 @@
 """Grid-oracle ground truth, independent of the flow."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcons
 from pcons import convex
 from pcons.dynamics import AgentProblem, ProblemInstance
 from pcons.errors import InvalidInputError
-from pcons.oracle import brute_force_solve
+from pcons.oracle import _axis, brute_force_solve
 
 
 def test_single_agent_quadratic():
@@ -122,3 +123,22 @@ def test_matches_flow_on_smooth_separable_problem():
     traj = pcons.integrate(p, h=1e-3, kkt_tol=1e-8, t_max=50.0)
     assert traj.stop_reason == "kkt_converged"
     assert p.objective_value(traj.final.x) == pytest.approx(oracle_value, abs=1e-5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(1e-6, 1e3, allow_nan=False),
+    st.floats(1e-4, 1.0, allow_nan=False),
+)
+def test_axis_points_stay_in_the_box(lo, width, step):
+    hi = lo + width
+    pts = _axis(lo, hi, step)
+    assert pts[0] == lo and pts[-1] <= hi
+    assert np.all(pts >= lo) and np.all(pts <= hi)
+
+
+def test_axis_clamps_the_rounded_last_point():
+    # 0.1 + 0.1*2 rounds to 0.30000000000000004, past hi = 0.3
+    pts = _axis(0.1, 0.3, 0.1)
+    assert pts[-1] == 0.3 and np.all(pts <= 0.3)
