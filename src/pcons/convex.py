@@ -22,34 +22,100 @@ from .errors import ConvexityError, InvalidInputError
 #: a coordinate counts as sitting on an absolute-value kink below this distance
 KINK_TOLERANCE = 1e-12
 
-
-def _as_atom_arrays(idx, centers, weights):
-    idx = np.asarray(idx, dtype=int)
-    centers = np.asarray(centers, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    return idx, centers, weights
+#: positions of the atom families in ``NormalForm.atoms``
+QUAD, ABS, EXP = range(3)
 
 
-def _merge_atoms(idx, centers, weights):
-    """Canonical order (coord, center) with duplicate atoms merged."""
-    if len(idx) == 0:
-        return idx, centers, weights
-    order = np.lexsort((centers, idx))
-    idx, centers, weights = idx[order], centers[order], weights[order]
-    out_i, out_c, out_w = [], [], []
-    for i, c, w in zip(idx, centers, weights):
-        if out_i and out_i[-1] == i and out_c[-1] == c:
-            out_w[-1] += w
+def _atom_order(atom):
+    # (coord, center) with NaN centers last, the order numpy's lexsort gives
+    return atom[0], atom[1] != atom[1], atom[1]
+
+
+def _merge(atoms):
+    """Canonical order (coord, center) with duplicate atoms merged.
+
+    The sort is stable, the weights of duplicates are summed left to
+    right, and atoms whose merged weight is zero are dropped.
+    """
+    out = []
+    for k, c, w in sorted(atoms, key=_atom_order):
+        if out and out[-1][0] == k and out[-1][1] == c:
+            out[-1] = (k, out[-1][1], out[-1][2] + w)
         else:
-            out_i.append(i)
-            out_c.append(c)
-            out_w.append(w)
-    keep = [k for k, w in enumerate(out_w) if w != 0.0]
-    return (
-        np.asarray([out_i[k] for k in keep], dtype=int),
-        np.asarray([out_c[k] for k in keep], dtype=float),
-        np.asarray([out_w[k] for k in keep], dtype=float),
-    )
+            out.append((k, c, w))
+    return [atom for atom in out if atom[2] != 0.0]
+
+
+def _columns(atoms):
+    idx, center, weight = zip(*atoms) if atoms else ((), (), ())
+    return np.array(idx, dtype=int), np.array(center, dtype=float), np.array(weight, dtype=float)
+
+
+class NormalForm:
+    """A convex expression under construction, held in plain Python values.
+
+    ``lin`` is a list of ``dim`` floats and ``const`` a float.  ``atoms``
+    holds one list per family (squares, absolute values, exponentials)
+    of (coord, center, weight) tuples; exponentials carry center 0.0.
+    ``add`` and ``scale`` are the whole ``ConvexExpr`` algebra, and
+    ``freeze`` makes the one ``ConvexExpr`` of a finished form.
+    """
+
+    __slots__ = ("dim", "lin", "const", "atoms")
+
+    def __init__(self, dim, lin, const=0.0, atoms=None):
+        self.dim = dim
+        self.lin = lin
+        self.const = const
+        self.atoms = atoms if atoms is not None else ([], [], [])
+
+    @classmethod
+    def of(cls, e: "ConvexExpr") -> "NormalForm":
+        return cls(e.dim, e.lin.tolist(), e.const, (
+            list(zip(e.quad_idx.tolist(), e.quad_center.tolist(), e.quad_weight.tolist())),
+            list(zip(e.abs_idx.tolist(), e.abs_center.tolist(), e.abs_weight.tolist())),
+            [(k, 0.0, w) for k, w in zip(e.exp_idx.tolist(), e.exp_weight.tolist())],
+        ))
+
+    @classmethod
+    def atom(cls, dim, family, coord, center, weight, const=0.0) -> "NormalForm":
+        """One atom of ``family`` (``QUAD``, ``ABS`` or ``EXP``) plus ``const``."""
+        atoms = ([], [], [])
+        atoms[family].append((coord, center, weight))
+        return cls(dim, [0.0] * dim, const, atoms)
+
+    @property
+    def is_affine(self) -> bool:
+        return not any(self.atoms)
+
+    def add(self, other: "NormalForm") -> "NormalForm":
+        return NormalForm(
+            self.dim,
+            [a + b for a, b in zip(self.lin, other.lin)],
+            self.const + other.const,
+            [_merge(a + b) for a, b in zip(self.atoms, other.atoms)],
+        )
+
+    def scale(self, factor: float) -> "NormalForm":
+        if factor < 0 and not self.is_affine:
+            raise ConvexityError(
+                "scaling a nonlinear convex atom by a negative factor breaks convexity"
+            )
+        return NormalForm(
+            self.dim,
+            [v * factor for v in self.lin],
+            self.const * factor,
+            [[(k, c, w * factor) for k, c, w in fam] for fam in self.atoms],
+        )
+
+    def freeze(self) -> "ConvexExpr":
+        (qi, qc, qw), (ai, ac, aw), (ei, _, ew) = (_columns(fam) for fam in self.atoms)
+        return ConvexExpr(
+            dim=self.dim, lin=np.array(self.lin, dtype=float), const=self.const,
+            quad_idx=qi, quad_center=qc, quad_weight=qw,
+            abs_idx=ai, abs_center=ac, abs_weight=aw,
+            exp_idx=ei, exp_weight=ew,
+        )
 
 
 @dataclass(frozen=True)
@@ -81,9 +147,7 @@ class ConvexExpr:
         # force the slower scatter-add path in the subgradient routines
         for fam in ("quad", "abs", "exp"):
             idx = getattr(self, f"{fam}_idx")
-            object.__setattr__(
-                self, f"_{fam}_unique", len(np.unique(idx)) == len(idx)
-            )
+            object.__setattr__(self, f"_{fam}_unique", len(set(idx.tolist())) == len(idx))
 
     # -- construction ----------------------------------------------------
 
@@ -207,29 +271,7 @@ class ConvexExpr:
             return NotImplemented
         if other.dim != self.dim:
             raise InvalidInputError(f"cannot add expressions on R^{self.dim} and R^{other.dim}")
-        qi, qc, qw = _merge_atoms(
-            np.concatenate([self.quad_idx, other.quad_idx]),
-            np.concatenate([self.quad_center, other.quad_center]),
-            np.concatenate([self.quad_weight, other.quad_weight]),
-        )
-        ai, ac, aw = _merge_atoms(
-            np.concatenate([self.abs_idx, other.abs_idx]),
-            np.concatenate([self.abs_center, other.abs_center]),
-            np.concatenate([self.abs_weight, other.abs_weight]),
-        )
-        ei, _, ew = _merge_atoms(
-            np.concatenate([self.exp_idx, other.exp_idx]),
-            np.zeros(len(self.exp_idx) + len(other.exp_idx)),
-            np.concatenate([self.exp_weight, other.exp_weight]),
-        )
-        return ConvexExpr(
-            dim=self.dim,
-            lin=self.lin + other.lin,
-            const=self.const + other.const,
-            quad_idx=qi, quad_center=qc, quad_weight=qw,
-            abs_idx=ai, abs_center=ac, abs_weight=aw,
-            exp_idx=ei, exp_weight=ew,
-        )
+        return NormalForm.of(self).add(NormalForm.of(other)).freeze()
 
     __radd__ = __add__
 
@@ -243,21 +285,7 @@ class ConvexExpr:
     def __mul__(self, factor):
         if not isinstance(factor, (int, float)):
             return NotImplemented
-        factor = float(factor)
-        if factor < 0 and not self.is_affine:
-            raise ConvexityError(
-                "scaling a nonlinear convex atom by a negative factor breaks convexity"
-            )
-        return ConvexExpr(
-            dim=self.dim,
-            lin=self.lin * factor,
-            const=self.const * factor,
-            quad_idx=self.quad_idx, quad_center=self.quad_center,
-            quad_weight=self.quad_weight * factor,
-            abs_idx=self.abs_idx, abs_center=self.abs_center,
-            abs_weight=self.abs_weight * factor,
-            exp_idx=self.exp_idx, exp_weight=self.exp_weight * factor,
-        )
+        return NormalForm.of(self).scale(float(factor)).freeze()
 
     __rmul__ = __mul__
 
@@ -282,74 +310,40 @@ class ConvexExpr:
         )
 
 
-def _empty(dim):
-    return dict(
-        dim=dim,
-        lin=np.zeros(dim),
-        const=0.0,
-        quad_idx=np.empty(0, dtype=int), quad_center=np.empty(0), quad_weight=np.empty(0),
-        abs_idx=np.empty(0, dtype=int), abs_center=np.empty(0), abs_weight=np.empty(0),
-        exp_idx=np.empty(0, dtype=int), exp_weight=np.empty(0),
-    )
-
-
 def affine(coefficients, const: float = 0.0) -> ConvexExpr:
     """c'x + b."""
     c = np.asarray(coefficients, dtype=float)
-    fields = _empty(c.shape[0])
-    fields["lin"] = c.copy()
-    fields["const"] = float(const)
-    return ConvexExpr(**fields)
+    return NormalForm(c.shape[0], c.tolist(), float(const)).freeze()
 
 
 def affine_sum(expr: ConvexExpr, const: float) -> ConvexExpr:
-    fields = _empty(expr.dim)
-    fields.update(
-        lin=expr.lin.copy(), const=expr.const + const,
-        quad_idx=expr.quad_idx, quad_center=expr.quad_center, quad_weight=expr.quad_weight,
-        abs_idx=expr.abs_idx, abs_center=expr.abs_center, abs_weight=expr.abs_weight,
-        exp_idx=expr.exp_idx, exp_weight=expr.exp_weight,
-    )
-    return ConvexExpr(**fields)
+    form = NormalForm.of(expr)
+    form.const = form.const + const
+    return form.freeze()
 
 
-def _check_atom(dim, coord, weight):
+def _atom(dim, family, coord, center, weight, const=0.0) -> ConvexExpr:
     dim, coord = int(dim), int(coord)
     if not 0 <= coord < dim:
         raise InvalidInputError(f"coordinate {coord} outside 0..{dim - 1}")
     if weight < 0:
         raise ConvexityError(f"atom weight must be nonnegative, got {weight}")
-    return dim, coord, float(weight)
+    return NormalForm.atom(dim, family, coord, float(center), float(weight), float(const)).freeze()
 
 
 def quadratic(dim: int, coord: int, center: float = 0.0, weight: float = 1.0) -> ConvexExpr:
     """w * (x_coord - center)^2 with w >= 0 (coord is 0-based)."""
-    dim, coord, weight = _check_atom(dim, coord, weight)
-    fields = _empty(dim)
-    fields.update(
-        quad_idx=np.array([coord]), quad_center=np.array([float(center)]),
-        quad_weight=np.array([weight]),
-    )
-    return ConvexExpr(**fields)
+    return _atom(dim, QUAD, coord, center, weight)
 
 
 def absolute(dim: int, coord: int, center: float = 0.0, weight: float = 1.0) -> ConvexExpr:
     """w * |x_coord - center| with w >= 0 (coord is 0-based)."""
-    dim, coord, weight = _check_atom(dim, coord, weight)
-    fields = _empty(dim)
-    fields.update(
-        abs_idx=np.array([coord]), abs_center=np.array([float(center)]),
-        abs_weight=np.array([weight]),
-    )
-    return ConvexExpr(**fields)
+    return _atom(dim, ABS, coord, center, weight)
 
 
 def exponential(dim: int, coord: int, weight: float = 1.0, const: float = 0.0) -> ConvexExpr:
     """w * exp(x_coord) + const with w >= 0 (coord is 0-based)."""
-    dim, coord, weight = _check_atom(dim, coord, weight)
-    fields = _empty(dim)
-    fields.update(exp_idx=np.array([coord]), exp_weight=np.array([weight]), const=float(const))
-    return ConvexExpr(**fields)
+    return _atom(dim, EXP, coord, 0.0, weight, const)
 
 
 # -- local feasible sets ---------------------------------------------------
@@ -367,6 +361,10 @@ class Box:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise InvalidInputError("box bounds must be 1-d arrays of equal length")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise InvalidInputError("box bounds must not be NaN")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise InvalidInputError("box is empty: a lower bound is +inf or an upper bound is -inf")
         if np.any(lower > upper):
             raise InvalidInputError("box is empty: a lower bound exceeds its upper bound")
         object.__setattr__(self, "lower", lower)

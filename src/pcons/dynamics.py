@@ -121,11 +121,7 @@ class ProblemInstance:
 
         lap = self.laplacian
         self.neighbors = tuple(
-            tuple(
-                (j, float(-lap[i, j]))
-                for j in range(self.dims.count)
-                if j != i and lap[i, j] != 0.0
-            )
+            tuple((j, float(-lap[i, j])) for j in np.flatnonzero(lap[i]).tolist() if j != i)
             for i in range(self.dims.count)
         )
         # snap targets: objective kinks on the non-shared coordinates
@@ -828,6 +824,7 @@ def lyapunov_value(
     of ``integrate`` the total is nonincreasing up to discretization
     error.
     """
+    _check_state(state, problem)
     ref_res = kkt_residual(reference, problem)
     if ref_res.max_component > ref_tol:
         raise InvalidInputError(

@@ -113,22 +113,26 @@ def extend_matrix(m, positions) -> np.ndarray:
     exceed the current order plus one.  Listing the final zero-row
     positions in ascending order therefore produces zero rows/columns at
     exactly those positions of the result, and deleting them recovers
-    the original matrix.
+    the original matrix.  The insertions are replayed on a list of row
+    labels only, and ``m`` is then placed into a zero matrix of the final
+    order in one assignment.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    out = m.copy()
+    rows = [True] * m.shape[0]  # True for a row of m, False for an inserted zero row
     seq = positions.entries if isinstance(positions, OrderedIndexSet) else tuple(positions)
     for pos in seq:
         pos = int(pos)
-        order = out.shape[0]
+        order = len(rows)
         if not 1 <= pos <= order + 1:
             raise InvalidInputError(
                 f"insertion position {pos} outside 1..{order + 1} for order-{order} matrix"
             )
-        out = np.insert(out, pos - 1, 0.0, axis=0)
-        out = np.insert(out, pos - 1, 0.0, axis=1)
+        rows.insert(pos - 1, False)
+    keep = [p for p, r in enumerate(rows) if r]
+    out = np.zeros((len(rows), len(rows)))
+    out[np.ix_(keep, keep)] = m
     return out
 
 
@@ -189,7 +193,8 @@ def consensus_index_set(dims, depth: int):
     shared = []
     for off, d in zip(dims.offsets, dims.dims):
         shared.extend(range(off + 1, off + depth + 1))
-    complement = [k for k in range(1, dims.total + 1) if k not in set(shared)]
+    shared_set = set(shared)
+    complement = [k for k in range(1, dims.total + 1) if k not in shared_set]
     return OrderedIndexSet(shared), OrderedIndexSet(complement)
 
 
@@ -234,8 +239,8 @@ def laplacian_is_connected(laplacian) -> bool:
     frontier = deque([0])
     while frontier:
         i = frontier.popleft()
-        for j in range(n):
-            if j != i and j not in seen and lap[i, j] != 0.0:
+        for j in np.flatnonzero(lap[i]).tolist():
+            if j not in seen:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == n

@@ -24,19 +24,30 @@ Expression strings use variables x1..x{dim} of the owning agent,
 numeric literals, ``+``, ``-``, ``*`` by constants, ``abs(...)``,
 ``exp(xk)`` and squares ``(...)^2`` of single-variable affine terms.
 Anything outside this vocabulary is rejected loudly: this parser
-prefers a clear error over silently accepting a nonconvex formula.
+prefers a clear error over silently accepting a nonconvex formula, and
+it rejects a number or a finished coefficient that is not finite.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from . import convex
-from .convex import Box, ConstraintMap, ConvexExpr, no_constraints, whole_space
+from .convex import (
+    ABS,
+    EXP,
+    QUAD,
+    Box,
+    ConstraintMap,
+    ConvexExpr,
+    NormalForm,
+    no_constraints,
+    whole_space,
+)
 from .dynamics import AgentProblem, ProblemInstance, SolverState
 from .errors import ConvexityError, ExpressionError, InvalidInputError
 
@@ -66,7 +77,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive-descent parser producing ConvexExpr normal forms."""
+    """Recursive-descent parser building one normal form per string."""
 
     def __init__(self, text, dim):
         self.text = text
@@ -87,14 +98,20 @@ class _Parser:
         if text != value:
             raise ExpressionError(f"expected {value!r}, found {text or 'end of input'!r}", position=pos)
 
+    def constant(self, value) -> NormalForm:
+        return NormalForm(self.dim, [0.0] * self.dim, value)
+
     def parse(self) -> ConvexExpr:
-        expr = self.expr()
+        form = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected trailing {text!r}", position=pos)
-        return expr
+        atoms = (v for fam in form.atoms for _, c, w in fam for v in (c, w))
+        if not all(map(math.isfinite, [*form.lin, form.const, *atoms])):
+            raise ExpressionError("a coefficient of the expression is not finite", position=0)
+        return form.freeze()
 
-    def expr(self) -> ConvexExpr:
+    def expr(self) -> NormalForm:
         negate = False
         if self.peek()[1] == "-":
             self.next()
@@ -102,22 +119,22 @@ class _Parser:
         try:
             total = self.term()
             if negate:
-                total = -total
+                total = total.scale(-1.0)
             while self.peek()[1] in ("+", "-"):
                 op = self.next()[1]
                 rhs = self.term()
-                total = total + rhs if op == "+" else total - rhs
+                total = total.add(rhs if op == "+" else rhs.scale(-1.0))
         except ConvexityError as exc:
             raise ExpressionError(f"non-convex atom: {exc}") from exc
         return total
 
-    def term(self) -> ConvexExpr:
+    def term(self) -> NormalForm:
         factors = [self.factor()]
         while self.peek()[1] == "*":
             self.next()
             factors.append(self.factor())
-        scalars = [f for f in factors if f.is_affine and not f.lin.any()]
-        others = [f for f in factors if not (f.is_affine and not f.lin.any())]
+        scalars = [f for f in factors if f.is_affine and not any(f.lin)]
+        others = [f for f in factors if not (f.is_affine and not any(f.lin))]
         if len(others) > 1:
             raise ExpressionError(
                 "products of non-constant expressions are outside the supported vocabulary"
@@ -126,13 +143,13 @@ class _Parser:
         for s in scalars:
             coeff *= s.const
         if not others:
-            return convex.affine(np.zeros(self.dim), coeff)
+            return self.constant(coeff)
         try:
-            return coeff * others[0]
+            return others[0].scale(coeff)
         except ConvexityError as exc:
             raise ExpressionError(f"non-convex atom: {exc}") from exc
 
-    def factor(self) -> ConvexExpr:
+    def factor(self) -> NormalForm:
         base, base_pos = self.primary()
         if self.peek()[1] == "^":
             self.next()
@@ -151,16 +168,19 @@ class _Parser:
     def primary(self):
         kind, text, pos = self.next()
         if kind == "num":
-            return convex.affine(np.zeros(self.dim), float(text)), pos
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {text} is not finite", position=pos)
+            return self.constant(value), pos
         if kind == "var":
             coord = int(text[1:]) - 1
             if not 0 <= coord < self.dim:
                 raise ExpressionError(
                     f"variable {text} outside x1..x{self.dim}", position=pos
                 )
-            c = np.zeros(self.dim)
-            c[coord] = 1.0
-            return convex.affine(c), pos
+            form = self.constant(0.0)
+            form.lin[coord] = 1.0
+            return form, pos
         if kind == "name":
             if text not in ("abs", "exp"):
                 raise ExpressionError(f"unknown function {text!r}", position=pos)
@@ -176,13 +196,13 @@ class _Parser:
             return inner, pos
         raise ExpressionError(f"unexpected {text or 'end of input'!r}", position=pos)
 
-    def _single_variable_affine(self, e: ConvexExpr, pos, what):
+    def _single_variable_affine(self, e: NormalForm, pos, what):
         if not e.is_affine:
             raise ExpressionError(
                 f"{what} of a nonlinear expression is outside the supported vocabulary",
                 position=pos,
             )
-        nz = np.flatnonzero(e.lin)
+        nz = [k for k, v in enumerate(e.lin) if v]
         if len(nz) > 1:
             raise ExpressionError(
                 f"{what} of a multi-variable expression is outside the supported vocabulary",
@@ -190,28 +210,28 @@ class _Parser:
             )
         if len(nz) == 0:
             return None, 0.0, e.const
-        k = int(nz[0])
-        return k, float(e.lin[k]), e.const
+        k = nz[0]
+        return k, e.lin[k], e.const
 
-    def _square(self, e: ConvexExpr, pos) -> ConvexExpr:
+    def _square(self, e: NormalForm, pos) -> NormalForm:
         k, slope, const = self._single_variable_affine(e, pos, "a square")
         if k is None:
-            return convex.affine(np.zeros(self.dim), const * const)
-        return convex.quadratic(self.dim, k, center=-const / slope, weight=slope * slope)
+            return self.constant(const * const)
+        return NormalForm.atom(self.dim, QUAD, k, -const / slope, slope * slope)
 
-    def _absolute(self, e: ConvexExpr, pos) -> ConvexExpr:
+    def _absolute(self, e: NormalForm, pos) -> NormalForm:
         k, slope, const = self._single_variable_affine(e, pos, "an absolute value")
         if k is None:
-            return convex.affine(np.zeros(self.dim), abs(const))
-        return convex.absolute(self.dim, k, center=-const / slope, weight=abs(slope))
+            return self.constant(abs(const))
+        return NormalForm.atom(self.dim, ABS, k, -const / slope, abs(slope))
 
-    def _exponential(self, e: ConvexExpr, pos) -> ConvexExpr:
+    def _exponential(self, e: NormalForm, pos) -> NormalForm:
         k, slope, const = self._single_variable_affine(e, pos, "an exponential")
         if k is None or slope != 1.0 or const != 0.0:
             raise ExpressionError(
                 "exp(...) supports a bare variable argument only", position=pos
             )
-        return convex.exponential(self.dim, k)
+        return NormalForm.atom(self.dim, EXP, k, 0.0, 1.0)
 
 
 def parse_expression(text: str, dim: int) -> ConvexExpr:

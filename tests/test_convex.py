@@ -183,6 +183,20 @@ class TestProjections:
         with pytest.raises(InvalidInputError):
             Box(np.array([2.0]), np.array([1.0]))
 
+    def test_nan_bound_rejected(self):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            Box(np.array([np.nan]), np.array([2.0]))
+        with pytest.raises(InvalidInputError, match="NaN"):
+            Box(np.array([0.0, 0.0]), np.array([1.0, np.nan]))
+
+    def test_infinite_lower_bound_rejected(self):
+        with pytest.raises(InvalidInputError, match="empty"):
+            Box(np.array([np.inf]), np.array([np.inf]))
+
+    def test_negative_infinite_upper_bound_rejected(self):
+        with pytest.raises(InvalidInputError, match="empty"):
+            Box(np.array([-np.inf]), np.array([-np.inf]))
+
 
 class TestNormalCone:
     def test_inward_normal_at_lower_bound(self):

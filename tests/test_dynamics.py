@@ -355,3 +355,16 @@ class TestStateValidation:
         for state in self.bad_states(example2.problem):
             with pytest.raises(InvalidInputError):
                 kkt_residual(state, example2.problem)
+
+    def test_lyapunov_value_short_multipliers(self, example2, example2_run_tight):
+        ref = example2_run_tight.final
+        state = SolverState(ref.x, np.zeros(1), np.zeros(1))
+        with pytest.raises(InvalidInputError, match="lambda"):
+            lyapunov_value(state, ref, example2.problem)
+
+    def test_lyapunov_value_nan_lambda(self, example2, example2_run_tight):
+        ref = example2_run_tight.final
+        state = ref.copy()
+        state.lam = np.full_like(ref.lam, np.nan)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            lyapunov_value(state, ref, example2.problem)

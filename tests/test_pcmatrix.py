@@ -1,6 +1,7 @@
 """Index sets, the extension operator, and the coupling matrix."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcons.errors import InvalidInputError
 from pcons.pcmatrix import (
@@ -127,6 +128,35 @@ class TestExtendMatrix:
     def test_bad_position(self):
         with pytest.raises(InvalidInputError):
             extend_matrix([[1.0]], [3])
+
+    @staticmethod
+    def insert_reference(m, positions):
+        """The extension as one np.insert per position, on the matrix grown so far."""
+        out = np.asarray(m, dtype=float).copy()
+        for pos in positions:
+            out = np.insert(out, pos - 1, 0.0, axis=0)
+            out = np.insert(out, pos - 1, 0.0, axis=1)
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_insert_reference(self, data):
+        # arbitrary progressive positions, not only ascending ones
+        order = data.draw(st.integers(0, 6))
+        entries = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, np.inf]))
+        m = np.array([[data.draw(entries) for _ in range(order)] for _ in range(order)])
+        m = m.reshape(order, order)
+        positions = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            positions.append(data.draw(st.integers(1, order + len(positions) + 1)))
+        got, want = extend_matrix(m, positions), self.insert_reference(m, positions)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_position_checked_against_grown_order(self):
+        assert extend_matrix([[1.0]], [2, 3]).shape == (3, 3)
+        with pytest.raises(InvalidInputError, match="outside 1..3"):
+            extend_matrix([[1.0]], [2, 4])
 
 
 class TestConsensusIndexSet:
@@ -274,6 +304,32 @@ class TestKernelCharacterization:
         pc = build_partial_consensus_matrix(PATH_L3, [1, 2, 2], 1)
         with pytest.raises(InvalidInputError):
             is_partial_consensus(pc, np.zeros(4), 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_kernel_is_the_consensus_subspace(self, nodes, seed, data):
+        lap = random_connected_laplacian(np.random.default_rng(seed), nodes, integer_weights=False)
+        dims = [data.draw(st.integers(1, 4)) for _ in range(nodes)]
+        depth = data.draw(st.integers(1, min(dims)))
+        pc = build_partial_consensus_matrix(lap, dims, depth)
+        # consensus basis: one vector per shared offset, one per free coordinate
+        basis = []
+        for r in range(depth):
+            v = np.zeros(pc.order)
+            v[[off + r for off in pc.dims.offsets]] = 1.0
+            basis.append(v)
+        for k in pc.complement:
+            v = np.zeros(pc.order)
+            v[k - 1] = 1.0
+            basis.append(v)
+        basis = np.array(basis).T
+        eigenvalues, vectors = np.linalg.eigh(pc.matrix)
+        null = vectors[:, np.abs(eigenvalues) < 1e-9 * max(1.0, np.abs(eigenvalues).max())]
+        assert null.shape[1] == basis.shape[1]
+        assert np.abs(pc.matrix @ basis).max(initial=0.0) <= 1e-12
+        # every kernel vector lies in the span of the consensus basis
+        coeffs = np.linalg.lstsq(basis, null, rcond=None)[0]
+        assert np.abs(basis @ coeffs - null).max(initial=0.0) <= 1e-9
 
     def test_equivalence_random(self):
         # one thousand random cases: Kx = 0 exactly when shared blocks agree

@@ -83,6 +83,20 @@ class TestExpressionGrammar:
         with pytest.raises(ExpressionError, match="column"):
             parse_expression("x1 + $", 1)
 
+    def test_non_finite_literal_rejected(self):
+        with pytest.raises(ExpressionError, match="not finite.*column 5"):
+            parse_expression("x1 - 1e400", 1)
+        with pytest.raises(ExpressionError, match="not finite.*column 0"):
+            parse_expression("1e400*abs(x1)", 1)
+        with pytest.raises(ExpressionError, match="not finite.*column 9"):
+            parse_expression("abs(x1 - 1e400 + 1e400)", 1)
+
+    def test_non_finite_normal_form_rejected(self):
+        # finite literals whose product overflows
+        for text in ("1e200*1e200*x1", "abs(1e-200*x1 - 1e200)", "1e308 + 1e308"):
+            with pytest.raises(ExpressionError, match="not finite.*column"):
+                parse_expression(text, 1)
+
     def test_format_round_trip(self):
         samples = [
             "(x1 - 1.5)^2 + abs(x1 - 0.5)",
@@ -157,6 +171,18 @@ class TestProblemFiles:
                 {"agents": [{"dim": 1, "box": [[0]]}],
                  "laplacian": [[0]], "consensus_depth": 1}
             )
+
+    def test_nan_box_bound_rejected(self):
+        doc = json.loads('{"agents": [{"dim": 1, "box": [[NaN, 2]]}], '
+                         '"laplacian": [[0]], "consensus_depth": 1}')
+        with pytest.raises(InvalidInputError, match="NaN"):
+            parse_problem_dict(doc, slater_probe=False)
+
+    def test_infinite_box_rejected(self):
+        doc = json.loads('{"agents": [{"dim": 1, "box": [[Infinity, Infinity]]}], '
+                         '"laplacian": [[0]], "consensus_depth": 1}')
+        with pytest.raises(InvalidInputError, match="empty"):
+            parse_problem_dict(doc, slater_probe=False)
 
     def test_unbounded_box_sides(self):
         loaded = parse_problem_dict(
