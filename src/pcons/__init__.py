@@ -17,7 +17,6 @@ from .convex import (
     exponential,
     in_normal_cone,
     no_constraints,
-    project_box,
     project_nonneg,
     quadratic,
     whole_space,

@@ -405,10 +405,6 @@ def whole_space(dim: int) -> Box:
     return Box(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
-def project_box(x, box: Box) -> np.ndarray:
-    return box.project(x)
-
-
 def project_nonneg(u) -> np.ndarray:
     """Projection onto the nonnegative orthant."""
     return np.maximum(np.asarray(u, dtype=float), 0.0)

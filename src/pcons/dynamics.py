@@ -10,7 +10,10 @@ multiplier per constraint row.  The flow
 
 drives x to a KKT point of the coupled problem; ``gain`` is one plus the
 largest eigenvalue of the coupling matrix K.  Time stepping is explicit
-fixed-step Euler or classical rk4.
+fixed-step Euler or classical rk4.  One stepper and one driver loop serve
+both execution modes; they differ only in the stage evaluator that
+supplies the velocity at a stage state: a gather from the payload table
+here, an exchange between agents in ``pcons.network``.
 
 Two practical refinements address the nonsmooth sliding modes created by
 absolute-value atoms (fixed-step explicit methods otherwise chatter at a
@@ -34,7 +37,8 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -400,6 +404,11 @@ class VelocityKernel:
         """The payload table: every row's shared (x, lambda) prefix."""
         return x[self.shared], lam[self.shared]
 
+    def gathered(self, x, lam):
+        """Every row's received payloads, gathered from the payload table."""
+        px, pl = self.payloads(x, lam)
+        return px[self.nbr], pl[self.nbr]
+
     def constraint_values(self, x):
         """g(x) of every constraint row, as ``ConvexExpr.value`` computes it."""
         g = np.empty(self.multiplier_dim)
@@ -421,6 +430,22 @@ class VelocityKernel:
         the payloads each row received, in its neighbor order.  Returns
         (dx, dlambda of the shared block as (rows, depth), dmu, g).
         """
+        sel, base, dlam, pp, g = self._select(x, lam, mu, recv_x, recv_lam)
+        y = x - sel - base
+        dx = self.twice_gain * (np.minimum(np.maximum(y, self.lower), self.upper) - x)
+        dmu = self.gain * (pp - mu)
+        return dx, dlam, dmu, g
+
+    def selected_subgradient(self, x, lam, mu, recv_x, recv_lam):
+        """sel + base: the x-subgradient of the descent function's v1 that
+        the flow selects, with the arguments of ``evaluate``."""
+        sel, base, *_ = self._select(x, lam, mu, recv_x, recv_lam)
+        return sel + base
+
+    def _select(self, x, lam, mu, recv_x, recv_lam):
+        """(sel, base, dlambda, p, g): the selected objective subgradient,
+        the constraint and coupling terms it is selected against, and the
+        parts of the velocity that need no selection."""
         # constraints: values, then sum_j p_j * subgradient(g_j), skipping p_j == 0
         g = self.constraint_values(x)
         pp = np.maximum(mu + g, 0.0)
@@ -473,10 +498,7 @@ class VelocityKernel:
             lo[blk], hi[blk] = objective.subgradient_interval(x[blk])
 
         sel = np.minimum(np.maximum(-base, lo), hi)
-        y = x - sel - base
-        dx = self.twice_gain * (np.minimum(np.maximum(y, self.lower), self.upper) - x)
-        dmu = self.gain * (pp - mu)
-        return dx, dlam, dmu, g
+        return sel, base, dlam, pp, g
 
     def packed(self, velocity) -> np.ndarray:
         """(dx, dlambda, dmu) of ``evaluate`` as one vector like the state."""
@@ -489,56 +511,66 @@ class VelocityKernel:
         return dz
 
 
-def _packed_velocity(z, problem):
-    """Velocity of the packed state. Returns (dz, stacked g values)."""
-    kernel = problem.kernel
-    n = problem.total_dim
-    x, lam, mu = z[:n], z[n : 2 * n], z[2 * n :]
-    px, pl = kernel.payloads(x, lam)
-    velocity = kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
-    return kernel.packed(velocity), velocity[3]
+def _gather_stage(kernel, x, lam, mu, n=0):
+    """The centralized stage evaluator: ``evaluate`` with every row's
+    payloads gathered from the payload table; the step index ``n`` is
+    not needed."""
+    return kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam))
 
 
-def _check_state(state, problem) -> None:
-    """Reject a state whose arrays do not fit ``problem`` or are not finite."""
+def _check_state(state, problem):
+    """Float copies of (x, lambda, mu) of a state that fits ``problem``.
+
+    Rejects arrays of the wrong shape, non-finite entries and a
+    non-finite time.
+    """
     n, m = problem.total_dim, problem.multiplier_dim
+    z = []
     for name, arr, want in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m)):
         arr = np.asarray(arr)
         if arr.shape != (want,):
             raise InvalidInputError(f"state.{name} has shape {arr.shape}, expected ({want},)")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError(f"state.{name} has non-finite entries")
+        z.append(arr.astype(float))
     if not np.isfinite(state.t):
         raise InvalidInputError(f"state time {state.t} is not finite")
+    return tuple(z)
 
 
-def _pack(state: SolverState) -> np.ndarray:
-    return np.concatenate([state.x, state.lam, state.mu], dtype=float)
+def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1) -> None:
+    """Reject a step size, method or stopping rule that cannot be run.
 
-
-def _unpack(z, problem, t) -> SolverState:
-    n = problem.total_dim
-    return SolverState(z[:n].copy(), z[n : 2 * n].copy(), z[2 * n :].copy(), t)
+    ``h``, ``t_max`` and ``kkt_tol`` must be finite and positive (NaN
+    fails the comparison) and ``record_every`` an integer >= 1.
+    """
+    for name, value in (("h", h), ("t_max", t_max), ("kkt_tol", kkt_tol)):
+        if not 0.0 < value < np.inf:
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    if method not in METHODS:
+        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
+    if isinstance(record_every, bool) or not isinstance(record_every, Integral) or record_every < 1:
+        raise InvalidInputError(f"record_every must be an integer >= 1, got {record_every!r}")
 
 
 def rhs(state: SolverState, problem: ProblemInstance):
     """(dx, dlambda, dmu) of the flow at ``state``."""
-    _check_state(state, problem)
-    dz, _ = _packed_velocity(_pack(state), problem)
+    kernel = problem.kernel
+    dz = kernel.packed(_gather_stage(kernel, *_check_state(state, problem)))
     if not np.all(np.isfinite(dz)):
         raise NumericalError(f"non-finite velocity at t={state.t}")
     n = problem.total_dim
     return dz[:n], dz[n : 2 * n], dz[2 * n :]
 
 
-def _residuals(dz, gstack, problem) -> KKTResidual:
-    n = problem.total_dim
-    gain = problem.gain
+def _residuals(kernel, velocity) -> KKTResidual:
+    dz = kernel.packed(velocity)
+    n, gain = kernel.total_dim, kernel.gain
     return KKTResidual(
         stationarity=float(np.linalg.norm(dz[:n])) / (2.0 * gain),
         consensus=float(np.linalg.norm(dz[n : 2 * n])),
         complementarity=float(np.linalg.norm(dz[2 * n :])) / gain,
-        feasibility=float(np.linalg.norm(np.maximum(gstack, 0.0))),
+        feasibility=float(np.linalg.norm(np.maximum(velocity[3], 0.0))),
     )
 
 
@@ -550,37 +582,58 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
     complementarity ||p - mu||, feasibility the norm of the positive
     part of g(x).
     """
-    _check_state(state, problem)
-    dz, gstack = _packed_velocity(_pack(state), problem)
-    return _residuals(dz, gstack, problem)
+    kernel = problem.kernel
+    return _residuals(kernel, _gather_stage(kernel, *_check_state(state, problem)))
 
 
 # -- stepping ----------------------------------------------------------------
 
 
-def _advance(z, problem, h, method):
-    """One explicit step from packed state ``z``; returns (z_new, k1)."""
-    k1, _ = _packed_velocity(z, problem)
+def _step(kernel, stage, rows, z, k1, n, t, h, method):
+    """One explicit step of step index ``n`` from ``z = (x, lambda, mu)`` at t.
+
+    ``stage(x, lam, mu, n)`` returns the kernel's velocity at a stage
+    state; ``k1`` is stage 1 when the caller has it, else None.  dlambda
+    moves only the shared block, so the other lambda entries keep their
+    bits.  A non-finite result raises ``NumericalError``; after that
+    check each (AgentProblem, capture table) of ``rows``, one per kernel
+    row, snaps its kink coordinates.  Returns the new (x, lambda, mu).
+    """
+    x, lam, mu = z
+    if k1 is None:
+        k1 = stage(x, lam, mu, n)
+
+    def at(coef, k):
+        stage_lam = lam.copy()
+        stage_lam[kernel.shared] += coef * k[1]
+        return x + coef * k[0], stage_lam, mu + coef * k[2]
+
     if method == "euler":
-        return z + h * k1, k1
-    k2, _ = _packed_velocity(z + (0.5 * h) * k1, problem)
-    k3, _ = _packed_velocity(z + (0.5 * h) * k2, problem)
-    k4, _ = _packed_velocity(z + h * k3, problem)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+        new = at(h, k1)
+    else:
+        k2 = stage(*at(0.5 * h, k1), n)
+        k3 = stage(*at(0.5 * h, k2), n)
+        k4 = stage(*at(h, k3), n)
+        new = at(h / 6.0, [a + 2.0 * b + 2.0 * c + d
+                           for a, b, c, d in zip(k1[:3], k2[:3], k3[:3], k4[:3])])
+    if not np.isfinite(np.concatenate(new)).all():
+        raise NumericalError(f"non-finite state produced at t={t + h}")
+    new_x, _, new_mu = new
+    for (agent, table), s, ms in zip(rows, kernel.blocks, kernel.mu_blocks):
+        if table:
+            capture_agent_kinks(
+                agent, table, new_x[s], x[s], k1[0][s], new_mu[ms], h, kernel.gain
+            )
+    return new
 
 
 def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "rk4") -> SolverState:
     """One fixed step of the flow (no kink capture; see ``integrate``)."""
-    if h <= 0:
-        raise InvalidInputError(f"step size must be positive, got {h}")
-    if method not in METHODS:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    _check_state(state, problem)
-    z_new, _ = _advance(_pack(state), problem, h, method)
-    t_new = state.t + h
-    if not np.all(np.isfinite(z_new)):
-        raise NumericalError(f"non-finite state produced at t={t_new}")
-    return _unpack(z_new, problem, t_new)
+    _check_settings(h, method)
+    z = _check_state(state, problem)
+    kernel = problem.kernel
+    new = _step(kernel, partial(_gather_stage, kernel), (), z, None, 0, state.t, h, method)
+    return SolverState(*new, state.t + h)
 
 
 def _snapped_coordinate_velocity(agent, xi, mi, local_k, gain):
@@ -623,22 +676,6 @@ def capture_agent_kinks(agent, table, x_block, x_prev_block, k1_block, mu_block,
     return changed
 
 
-def _capture_pass(z_prev, z, k1, problem, h):
-    n = problem.total_dim
-    x = z[:n]
-    x_prev = z_prev[:n]
-    mu = z[2 * n :]
-    for i, agent in enumerate(problem.agents):
-        table = problem._capture_table[i]
-        if not table:
-            continue
-        s = problem._block_slices[i]
-        capture_agent_kinks(
-            agent, table, x[s], x_prev[s], k1[:n][s], mu[problem._mu_slices[i]],
-            h, problem.gain,
-        )
-
-
 @dataclass
 class Trajectory:
     """Recorded run: states and diagnostics every ``record_every`` steps."""
@@ -664,6 +701,54 @@ class Trajectory:
         return self.residuals[-1]
 
 
+def _drive(problem, kernel, stage, rows, z, t0, h, method, t_max, kkt_tol, record_every):
+    """The driver loop of both execution modes, from ``z = (x, lambda, mu)`` at t0.
+
+    ``stage`` evaluates the velocity at a stage state and ``rows`` holds
+    the kink-capture data, both as ``_step`` takes them.  Every step
+    starts with stage 1 at the current state; it gives the residual that
+    stops the run and is reused by the step.  Arguments are checked by
+    the caller.
+    """
+    times, states, residuals, objectives, violations = [], [], [], [], []
+    started = time.perf_counter()
+    steps = 0
+    while True:
+        t = t0 + steps * h
+        k1 = stage(*z, steps)
+        res = _residuals(kernel, k1)
+        converged = res.max_component <= kkt_tol
+        done = converged or t >= t_max - 1e-12
+        if done or steps % record_every == 0:
+            times.append(t)
+            states.append(SolverState(*z, t))
+            residuals.append(res)
+            objectives.append(problem.objective_value(z[0]))
+            violations.append(problem.box_violation(z[0]))
+        if done:
+            break
+        new = _step(kernel, stage, rows, z, k1, steps, t, h, method)
+        if np.linalg.norm(np.concatenate(new)) > DIVERGENCE_NORM:
+            raise DivergenceError(
+                f"state norm exceeded {DIVERGENCE_NORM:g} at t={t + h}",
+                state=SolverState(*z, t),
+                t=t + h,
+            )
+        z = new
+        steps += 1
+
+    return Trajectory(
+        times=times,
+        states=states,
+        residuals=residuals,
+        objectives=objectives,
+        box_violations=violations,
+        stop_reason="kkt_converged" if converged else "t_max",
+        total_steps=steps,
+        wall_time=time.perf_counter() - started,
+    )
+
+
 def integrate(
     problem: ProblemInstance,
     init: SolverState = None,
@@ -683,77 +768,13 @@ def integrate(
     ``DIVERGENCE_NORM`` raises ``DivergenceError`` carrying the last
     finite state.
     """
-    if h <= 0 or t_max <= 0 or kkt_tol <= 0:
-        raise InvalidInputError("h, t_max and kkt_tol must all be positive")
-    if method not in METHODS:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    if record_every < 1:
-        raise InvalidInputError("record_every must be at least 1")
-
-    state0 = init if init is not None else initial_state(problem, "zeros")
-    _check_state(state0, problem)
-    z = _pack(state0)
-    t0 = state0.t
-
-    times, states, residuals, objectives, violations = [], [], [], [], []
-    started = time.perf_counter()
-
-    def record(t, z, res):
-        times.append(t)
-        st = _unpack(z, problem, t)
-        states.append(st)
-        residuals.append(res)
-        objectives.append(problem.objective_value(st.x))
-        violations.append(problem.box_violation(st.x))
-
-    stop_reason = "t_max"
-    steps = 0
-    while True:
-        t = t0 + steps * h
-        dz, gstack = _packed_velocity(z, problem)
-        res = _residuals(dz, gstack, problem)
-        due = steps % record_every == 0
-        if res.max_component <= kkt_tol:
-            record(t, z, res)
-            stop_reason = "kkt_converged"
-            break
-        if t >= t_max - 1e-12:
-            record(t, z, res)
-            stop_reason = "t_max"
-            break
-        if due:
-            record(t, z, res)
-        # step, reusing dz as the first stage
-        if method == "euler":
-            z_new = z + h * dz
-        else:
-            k2, _ = _packed_velocity(z + (0.5 * h) * dz, problem)
-            k3, _ = _packed_velocity(z + (0.5 * h) * k2, problem)
-            k4, _ = _packed_velocity(z + h * k3, problem)
-            z_new = z + (h / 6.0) * (dz + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z_new)):
-            raise NumericalError(f"non-finite state produced at t={t + h}")
-        if capture_kinks:
-            _capture_pass(z, z_new, dz, problem, h)
-        if np.linalg.norm(z_new) > DIVERGENCE_NORM:
-            raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_NORM:g} at t={t + h}",
-                state=_unpack(z, problem, t),
-                t=t + h,
-            )
-        z = z_new
-        steps += 1
-
-    return Trajectory(
-        times=times,
-        states=states,
-        residuals=residuals,
-        objectives=objectives,
-        box_violations=violations,
-        stop_reason=stop_reason,
-        total_steps=steps,
-        wall_time=time.perf_counter() - started,
-    )
+    _check_settings(h, method, t_max, kkt_tol, record_every)
+    state = init if init is not None else initial_state(problem, "zeros")
+    z = _check_state(state, problem)
+    kernel = problem.kernel
+    rows = tuple(zip(problem.agents, problem._capture_table)) if capture_kinks else ()
+    return _drive(problem, kernel, partial(_gather_stage, kernel), rows, z, state.t,
+                  h, method, t_max, kkt_tol, record_every)
 
 
 # -- Lyapunov diagnostics ----------------------------------------------------
@@ -768,35 +789,6 @@ class LyapunovValue:
     v2: float
     v3: float
     v4: float
-
-
-def _selected_objective_gradient(z, problem):
-    """The x-gradient of v1 with the flow's subgradient selection."""
-    n = problem.total_dim
-    x = z[:n]
-    lam = z[n : 2 * n]
-    mu = z[2 * n :]
-    out = np.empty(n)
-    depth, gain = problem.depth, problem.gain
-    slices = problem._block_slices
-    for i, agent in enumerate(problem.agents):
-        s = slices[i]
-        xi, li, mi = x[s], lam[s], mu[problem._mu_slices[i]]
-        g = agent.constraints.value(xi)
-        pp = np.maximum(mi + g, 0.0)
-        if agent.constraints.size:
-            base = agent.constraints.weighted_subgradient(xi, pp)
-        else:
-            base = np.zeros(xi.shape[0])
-        if problem.neighbors[i]:
-            ui = xi[:depth] + li[:depth]
-            coup = np.zeros(depth)
-            for j, w in problem.neighbors[i]:
-                coup += w * (ui - (x[slices[j]][:depth] + lam[slices[j]][:depth]))
-            base[:depth] += coup
-        flo, fhi = agent.objective.subgradient_interval(xi)
-        out[s] = np.clip(-base, flo, fhi) + base
-    return out
 
 
 def _v1(state: SolverState, problem: ProblemInstance) -> float:
@@ -835,7 +827,11 @@ def lyapunov_value(
     gain = problem.gain
     v1 = _v1(state, problem)
     v1_ref = _v1(reference, problem)
-    grad_ref = _selected_objective_gradient(_pack(reference), problem)
+    kernel = problem.kernel
+    x_ref, lam_ref, mu_ref = _check_state(reference, problem)
+    grad_ref = kernel.selected_subgradient(
+        x_ref, lam_ref, mu_ref, *kernel.gathered(x_ref, lam_ref)
+    )
     dx = state.x - reference.x
     dl = state.lam - reference.lam
     dm = state.mu - reference.mu

@@ -1,21 +1,22 @@
 """Decentralized execution of the flow as message-passing agents.
 
 Each agent owns only its objective, constraints and box, plus the
-Laplacian weights of its incident edges.  In every synchronous round the
-agents exchange the shared components of (x_i, lambda_i) along graph
-edges, and then the compiled velocity kernel of ``pcons.dynamics``
-evaluates every agent's row at once.  A row reads only its own block and
-the payloads delivered to it, and it goes through the same operations as
-in the centralized integrator, so a decentralized run reproduces the
-centralized trajectory bit for bit.  The "network" is an in-process
-simulation: rounds are lockstep, there is no loss or delay.
+Laplacian weights of its incident edges.  A decentralized run is the
+centralized one with another stage evaluator: the stepper and driver
+loop of ``pcons.dynamics`` ask for the velocity at every stage state,
+and here each such evaluation is one exchange, in which every agent
+sends the shared components of (x_i, lambda_i) along its edges,
+followed by one call of the compiled velocity kernel on every agent's
+row.  A row reads only its own block and the payloads delivered to it,
+and kink capture reads only the agent's own problem, so the run
+reproduces the centralized trajectory bit for bit.  The "network" is an
+in-process simulation: rounds are lockstep, there is no loss or delay.
 
-rk4 needs neighbor values at every stage state, so one rk4 step costs
-four exchanges; Euler costs one.
+One round is one step.  rk4 needs neighbor values at every stage state,
+so an rk4 round costs four exchanges; an Euler round costs one.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,13 @@ from .dynamics import (
     SolverState,
     Trajectory,
     VelocityKernel,
+    _check_settings,
     _check_state,
-    _residuals,
-    capture_agent_kinks,
+    _drive,
+    _step,
     initial_state,
-    DIVERGENCE_NORM,
-    METHODS,
 )
-from .errors import DivergenceError, InvalidInputError, NumericalError, ProtocolError
+from .errors import InvalidInputError, ProtocolError
 from .pcmatrix import laplacian_is_connected
 
 
@@ -156,61 +156,36 @@ def _stacked_kernel(agents) -> VelocityKernel:
     return kernel
 
 
-def _stage(kernel, x, lam, mu, log, round_index):
-    """One exchange, then every row's velocity from what it received.
+class _Exchange:
+    """The decentralized stage evaluator: one exchange, then the kernel.
 
     Each agent sends its shared prefix along every incident edge; a
     receiver's payloads are gathered from the senders' payload table.
-    Payloads are logged receiver by receiver, neighbors ascending.
-    Returns the kernel's velocity and the number of directed payloads.
+    Payloads of step index ``n`` are logged (when ``log`` is a list) as
+    round ``n``, receiver by receiver, neighbors ascending; ``sent``
+    counts the directed payloads.
     """
-    px, pl = kernel.payloads(x, lam)
-    if log is not None:
-        xs, ls = list(px), list(pl)
-        log.extend(
-            Message(round_index=round_index, sender=j + 1, receiver=i + 1,
-                    x_shared=xs[j], lam_shared=ls[j])
-            for i, j in kernel.edges
-        )
-    velocity = kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
-    return velocity, len(kernel.edges)
+
+    def __init__(self, kernel, log):
+        self.kernel, self.log, self.sent = kernel, log, 0
+
+    def __call__(self, x, lam, mu, n):
+        kernel = self.kernel
+        px, pl = kernel.payloads(x, lam)
+        if self.log is not None:
+            xs, ls = list(px), list(pl)
+            self.log.extend(
+                Message(round_index=n, sender=j + 1, receiver=i + 1,
+                        x_shared=xs[j], lam_shared=ls[j])
+                for i, j in kernel.edges
+            )
+        self.sent += len(kernel.edges)
+        return kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
 
 
-def _advance(agents, kernel, x, lam, mu, k1, h, method, log, round_index, capture):
-    """One step of every agent from the already-exchanged stage 1.
-
-    Returns the new (x, lambda, mu) and the number of directed payloads
-    sent by the remaining exchanges.
-    """
-    shared = kernel.shared
-
-    def at(coef, vel):
-        stage_lam = lam.copy()
-        stage_lam[shared] += coef * vel[1]
-        return x + coef * vel[0], stage_lam, mu + coef * vel[2]
-
-    count = 0
-    if method == "euler":
-        new_x, new_lam, new_mu = at(h, k1)
-    else:
-        k2, c2 = _stage(kernel, *at(0.5 * h, k1), log, round_index)
-        k3, c3 = _stage(kernel, *at(0.5 * h, k2), log, round_index)
-        k4, c4 = _stage(kernel, *at(h, k3), log, round_index)
-        count = c2 + c3 + c4
-        dx, dlam, dmu = (
-            (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for a, b, c, d in zip(k1[:3], k2[:3], k3[:3], k4[:3])
-        )
-        new_x, new_lam, new_mu = x + dx, lam.copy(), mu + dmu
-        new_lam[shared] += dlam
-    if capture:
-        for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
-            if agent.capture_table:
-                capture_agent_kinks(
-                    agent.problem, agent.capture_table, new_x[s], x[s],
-                    k1[0][s], new_mu[ms], h, agent.gain,
-                )
-    return (new_x, new_lam, new_mu), count
+def _capture_rows(agents, capture):
+    """Each agent's own problem and capture table, for kink capture."""
+    return tuple((a.problem, a.capture_table) for a in agents) if capture else ()
 
 
 def synchronous_round(agents, h, method="rk4", capture=True, log=None):
@@ -218,22 +193,24 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
 
     All agents must be at the same round number.  Agents are mutated in
     place and returned; the second element of the result is the number
-    of directed payloads sent.
+    of directed payloads sent.  A non-finite new state raises
+    ``NumericalError`` (its t counts rounds from 0) and leaves the agents
+    as they were.
     """
-    if method not in METHODS:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
+    _check_settings(h, method)
     rounds = {a.round_index for a in agents}
     if len(rounds) != 1:
         raise ProtocolError(f"agents out of sync: round numbers {sorted(rounds)}")
     rnd = agents[0].round_index
     kernel = _stacked_kernel(agents)
-    x, lam, mu = (np.concatenate([getattr(a, f) for a in agents]) for f in ("x", "lam", "mu"))
-    k1, count = _stage(kernel, x, lam, mu, log, rnd)
-    (x, lam, mu), more = _advance(agents, kernel, x, lam, mu, k1, h, method, log, rnd, capture)
+    exchange = _Exchange(kernel, log)
+    z = tuple(np.concatenate([getattr(a, f) for a in agents]) for f in ("x", "lam", "mu"))
+    x, lam, mu = _step(kernel, exchange, _capture_rows(agents, capture), z, None,
+                       rnd, rnd * h, h, method)
     for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
         agent.x, agent.lam, agent.mu = x[s], lam[s], mu[ms]
         agent.round_index += 1
-    return agents, count + more
+    return agents, exchange.sent
 
 
 def run_decentralized(
@@ -249,84 +226,25 @@ def run_decentralized(
 ) -> Trajectory:
     """Decentralized counterpart of ``integrate`` with identical results.
 
-    Termination, recording and kink capture follow the centralized
-    integrator exactly, and a ``DivergenceError`` likewise carries the
-    last finite state; additionally the trajectory carries the total
-    number of directed payloads and the per-step cost.  Pass a list as
-    ``message_log`` to record every payload.
+    The driver loop of ``integrate`` runs with an exchange as its stage
+    evaluator and each agent's own data for kink capture, so
+    termination, recording, capture and a ``DivergenceError`` are those
+    of the centralized run; additionally the trajectory carries the
+    total number of directed payloads and the per-step cost.  Pass a
+    list as ``message_log`` to record every payload.
     """
-    if h <= 0 or t_max <= 0 or kkt_tol <= 0:
-        raise InvalidInputError("h, t_max and kkt_tol must all be positive")
-    if method not in METHODS:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    if record_every < 1:
-        raise InvalidInputError("record_every must be at least 1")
-    state0 = init if init is not None else initial_state(problem, "zeros")
-    _check_state(state0, problem)
-
-    agents = build_agents(problem, state0)
+    _check_settings(h, method, t_max, kkt_tol, record_every)
+    state = init if init is not None else initial_state(problem, "zeros")
+    z = _check_state(state, problem)
+    agents = build_agents(problem, state)
     kernel = _stacked_kernel(agents)
-    x, lam, mu = (np.array(a, dtype=float) for a in (state0.x, state0.lam, state0.mu))
-    t0 = state0.t
-
-    times, states, residuals, objectives, violations = [], [], [], [], []
-    started = time.perf_counter()
-    total_messages = 0
-
-    def record(t, res):
-        st = SolverState(x.copy(), lam.copy(), mu.copy(), t)
-        times.append(t)
-        states.append(st)
-        residuals.append(res)
-        objectives.append(problem.objective_value(st.x))
-        violations.append(problem.box_violation(st.x))
-
-    stop_reason = "t_max"
-    steps = 0
-    while True:
-        t = t0 + steps * h
-        k1, count = _stage(kernel, x, lam, mu, message_log, steps)
-        total_messages += count
-        res = _residuals(kernel.packed(k1), k1[3], problem)
-        if res.max_component <= kkt_tol:
-            record(t, res)
-            stop_reason = "kkt_converged"
-            break
-        if t >= t_max - 1e-12:
-            record(t, res)
-            stop_reason = "t_max"
-            break
-        if steps % record_every == 0:
-            record(t, res)
-        new, count = _advance(
-            agents, kernel, x, lam, mu, k1, h, method, message_log, steps, capture_kinks
-        )
-        total_messages += count
-        z_new = np.concatenate(new)
-        if not np.all(np.isfinite(z_new)):
-            raise NumericalError(f"non-finite state produced at t={t + h}")
-        if np.linalg.norm(z_new) > DIVERGENCE_NORM:
-            raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_NORM:g} at t={t + h}",
-                state=SolverState(x.copy(), lam.copy(), mu.copy(), t),
-                t=t + h,
-            )
-        x, lam, mu = new
-        steps += 1
-
-    return Trajectory(
-        times=times,
-        states=states,
-        residuals=residuals,
-        objectives=objectives,
-        box_violations=violations,
-        stop_reason=stop_reason,
-        total_steps=steps,
-        wall_time=time.perf_counter() - started,
-        message_rounds=steps,
-        message_count=total_messages,
-        messages_per_step=len(kernel.edges) * (1 if method == "euler" else 4),
-    )
+    exchange = _Exchange(kernel, message_log)
+    trajectory = _drive(problem, kernel, exchange, _capture_rows(agents, capture_kinks), z,
+                        state.t, h, method, t_max, kkt_tol, record_every)
+    trajectory.message_rounds = trajectory.total_steps
+    trajectory.message_count = exchange.sent
+    trajectory.messages_per_step = len(kernel.edges) * (1 if method == "euler" else 4)
+    return trajectory
 
 
 def write_message_log_csv(messages, path):

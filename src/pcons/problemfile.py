@@ -34,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -316,13 +317,20 @@ def _bound(v, default):
     return float(v)
 
 
+def _whole(value, what) -> int:
+    """A whole JSON integer; a float (even 2.0) or a boolean is an error."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ExpressionError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _parse_agent(entry, index):
     where = f"agents[{index}]"
     if not isinstance(entry, dict):
         raise ExpressionError(f"{where} must be an object")
     if "dim" not in entry:
         raise ExpressionError(f"{where} is missing 'dim'")
-    dim = int(entry["dim"])
+    dim = _whole(entry["dim"], f"{where}.dim")
     if dim < 1:
         raise ExpressionError(f"{where}.dim must be >= 1")
     known = {"dim", "objective", "constraints", "box"}
@@ -365,7 +373,7 @@ def parse_problem_dict(doc: dict, slater_probe: bool = True) -> LoadedProblem:
     problem = ProblemInstance(
         agents,
         np.asarray(doc["laplacian"], dtype=float),
-        int(doc["consensus_depth"]),
+        _whole(doc["consensus_depth"], "consensus_depth"),
         slater_probe=slater_probe,
     )
 

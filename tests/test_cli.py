@@ -92,6 +92,20 @@ class TestSolveCommand:
         first_row = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()[1]
         assert first_row.split(",")[1] == "1.8999999999999999"
 
+    def test_negative_zero_lambda_init_gives_the_same_bytes_in_both_modes(self, tmp_path):
+        # lambda_3 and lambda_5 are not shared on example2 and never move
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"lambda": [0.0, -0.0, -0.0, 0.0, -0.0]}), encoding="utf-8")
+        runs = {}
+        for mode in ("central", "decentral"):
+            out = tmp_path / mode
+            argv = ["solve", EX2, "--init", str(init), "--t-max", "0.01", "--out", str(out)]
+            assert main(argv + (["--decentralized"] if mode == "decentral" else [])) == 2
+            runs[mode] = (out / "trajectory.csv").read_bytes()
+        assert runs["central"] == runs["decentral"]
+        last = runs["central"].decode().splitlines()[-1].split(",")
+        assert last[1 + 5 + 2] == "-0" and last[1 + 5 + 4] == "-0"
+
 
 class TestOracleCommand:
     def test_reports_optimum(self, capsys):
@@ -170,3 +184,9 @@ class TestErrorPaths:
         init.write_text('{"x": [1.5, NaN, 1.5, 1.5, 1.5]}', encoding="utf-8")
         assert main(["solve", EX2, "--out", str(tmp_path / "run"), "--init", str(init)]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_settings(self, tmp_path, capsys):
+        for flag in ("--h", "--t-max", "--kkt-tol"):
+            argv = ["solve", QUAD, "--out", str(tmp_path / "run"), flag, "nan"]
+            assert main(argv) == 1
+            assert "must be finite and positive" in capsys.readouterr().err

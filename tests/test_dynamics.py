@@ -368,3 +368,31 @@ class TestStateValidation:
         state.lam = np.full_like(ref.lam, np.nan)
         with pytest.raises(InvalidInputError, match="non-finite"):
             lyapunov_value(state, ref, example2.problem)
+
+
+class TestSettingsValidation:
+    """Step size, method and stopping rule are checked before any step."""
+
+    GOOD = dict(h=0.01, method="rk4", t_max=20.0, kkt_tol=1e-6, record_every=1)
+    BAD = [
+        dict(h=np.nan), dict(h=np.inf), dict(h=0.0), dict(h=-0.1),
+        dict(t_max=np.nan), dict(t_max=np.inf), dict(t_max=0.0),
+        dict(kkt_tol=np.nan), dict(kkt_tol=-1.0),
+        dict(record_every=0), dict(record_every=2.5), dict(record_every=True),
+        dict(method="heun"),
+    ]
+
+    def test_integrate(self):
+        # the quadratic converges in a few hundred steps, so a setting that
+        # slips through ends the run instead of hanging the test
+        p = single_agent_problem()
+        for bad in self.BAD:
+            with pytest.raises(InvalidInputError):
+                integrate(p, **{**self.GOOD, **bad})
+
+    def test_step(self):
+        p = single_agent_problem()
+        s = SolverState(np.array([0.0]), np.zeros(1), np.zeros(0))
+        for h in (np.nan, np.inf, 0.0):
+            with pytest.raises(InvalidInputError, match="h must be finite and positive"):
+                step(s, p, h, "euler")

@@ -206,3 +206,63 @@ class TestLocality:
             got = agent.local_velocity(agent.x, agent.lam, agent.mu, received)
             for a, b in zip(got, rows[i], strict=True):
                 assert_bits_equal(a, b)
+
+
+# -- the selected subgradient of the descent function ------------------------
+
+
+def reference_selected_gradient(problem, x, lam, mu):
+    """The x-gradient of v1 with the flow's subgradient selection, agent by agent."""
+    out = np.empty(problem.total_dim)
+    depth = problem.depth
+    for i, agent in enumerate(problem.agents):
+        s = problem.block(i)
+        xi, li, mi = x[s], lam[s], mu[problem.mu_block(i)]
+        g = agent.constraints.value(xi)
+        pp = np.maximum(mi + g, 0.0)
+        if agent.constraints.size:
+            base = agent.constraints.weighted_subgradient(xi, pp)
+        else:
+            base = np.zeros(xi.shape[0])
+        if problem.neighbors[i]:
+            ui = xi[:depth] + li[:depth]
+            coup = np.zeros(depth)
+            for j, w in problem.neighbors[i]:
+                sj = problem.block(j)
+                coup += w * (ui - (x[sj][:depth] + lam[sj][:depth]))
+            base[:depth] += coup
+        flo, fhi = agent.objective.subgradient_interval(xi)
+        out[s] = np.clip(-base, flo, fhi) + base
+    return out
+
+
+class Opaque:
+    """An objective the kernel does not compile: it asks for the interval."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def subgradient_interval(self, x):
+        return self.inner.subgradient_interval(x)
+
+    def kink_locations(self):
+        return self.inner.kink_locations()
+
+
+class TestSelectedSubgradient:
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), st.data())
+    def test_matches_the_per_agent_reference(self, case, data):
+        problem, x, lam, mu = case
+        agents = [
+            AgentProblem(Opaque(a.objective), a.constraints, a.box)
+            if data.draw(st.booleans()) else a
+            for a in problem.agents
+        ]
+        problem = ProblemInstance(agents, problem.laplacian, problem.depth)
+        kernel = problem.kernel
+        got = kernel.selected_subgradient(x, lam, mu, *kernel.gathered(x, lam))
+        assert_bits_equal(got, reference_selected_gradient(problem, x, lam, mu))

@@ -1,9 +1,13 @@
 """Message-passing agents and centralized/decentralized equivalence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcons import convex
-from pcons.dynamics import AgentProblem, ProblemInstance, SolverState, initial_state, integrate, step
+from pcons.dynamics import (
+    METHODS, AgentProblem, ProblemInstance, SolverState, initial_state, integrate, step,
+    write_trajectory_csv,
+)
 from pcons.errors import DivergenceError, InvalidInputError, ProtocolError
 from pcons.network import build_agents, run_decentralized, synchronous_round
 
@@ -244,3 +248,46 @@ class TestDivergence:
         for name in ("x", "lam", "mu"):
             assert np.array_equal(getattr(a.state, name), getattr(b.state, name))
             assert np.all(np.isfinite(getattr(b.state, name)))
+
+
+class TestSettingsValidation:
+    def test_run_decentralized(self, example2):
+        for bad in (dict(h=np.nan), dict(h=np.inf), dict(t_max=np.nan),
+                    dict(kkt_tol=np.nan), dict(record_every=0), dict(method="heun")):
+            kwargs = {**dict(h=1e-3, t_max=0.01, kkt_tol=1e-6), **bad}
+            with pytest.raises(InvalidInputError):
+                run_decentralized(example2.problem, **kwargs)
+
+    def test_synchronous_round(self, example2):
+        for h, method in ((np.nan, "euler"), (np.inf, "rk4"), (0.0, "rk4"), (1e-3, "heun")):
+            agents = build_agents(example2.problem)
+            with pytest.raises(InvalidInputError):
+                synchronous_round(agents, h, method)
+            assert all(a.round_index == 0 for a in agents)
+
+
+class TestWholeRunBitIdentity:
+    signed = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+    def test_integrate_equals_run_decentralized(self, tmp_path_factory, seed, every, data):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng)
+        n, m = p.total_dim, p.multiplier_dim
+        init = SolverState(*(np.array(data.draw(st.lists(self.signed, min_size=k, max_size=k)))
+                             for k in (n, n, m)))
+        out = tmp_path_factory.mktemp("runs")
+        for method in METHODS:
+            kwargs = dict(h=2e-3, method=method, t_max=0.05, kkt_tol=1e-15, record_every=every)
+            central = integrate(p, init, **kwargs)
+            decentral = run_decentralized(p, init, **kwargs)
+            assert central.total_steps == decentral.total_steps
+            assert central.times == decentral.times
+            for sc, sd in zip(central.states, decentral.states, strict=True):
+                for a, b in ((sc.x, sd.x), (sc.lam, sd.lam), (sc.mu, sd.mu)):
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
+            write_trajectory_csv(central, out / "central.csv", p)
+            write_trajectory_csv(decentral, out / "decentral.csv", p)
+            assert (out / "central.csv").read_bytes() == (out / "decentral.csv").read_bytes()

@@ -158,6 +158,13 @@ class TestProblemFiles:
                  "extra": 3}
             )
 
+    def test_dim_and_depth_must_be_whole_integers(self):
+        # int() would truncate 1.9 and 1.7 to 1 and read true as 1
+        for dim, depth in ((1.9, 1.7), (True, 1), (2.0, 1), ("1", 1), (1, 1.0), (1, True)):
+            doc = {"agents": [{"dim": dim}], "laplacian": [[0]], "consensus_depth": depth}
+            with pytest.raises(ExpressionError, match="whole number"):
+                parse_problem_dict(doc)
+
     def test_box_length_mismatch(self):
         with pytest.raises(ExpressionError, match="box"):
             parse_problem_dict(
