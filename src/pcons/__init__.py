@@ -48,6 +48,7 @@ from .errors import (
 from .network import (
     Agent,
     Message,
+    MessageLog,
     build_agents,
     run_decentralized,
     synchronous_round,

@@ -20,7 +20,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .errors import DivergenceError, InvalidInputError, NumericalError
-from .network import run_decentralized, write_message_log_csv
+from .network import MessageLog, run_decentralized, write_message_log_csv
 from .oracle import brute_force_solve
 from .problemfile import _parse_init, parse_problem
 
@@ -141,7 +141,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mode = "decentralized" if args.decentralized else "centralized"
-    message_log = [] if (args.decentralized and args.log_messages) else None
+    message_log = MessageLog() if (args.decentralized and args.log_messages) else None
 
     code = EXIT_OK
     try:

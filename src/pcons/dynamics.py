@@ -155,26 +155,23 @@ class ProblemInstance:
     def mu_block(self, i: int) -> slice:
         return self._mu_slices[i]
 
-    def objective_value(self, x) -> float:
+    def _stacked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.total_dim,):
             raise InvalidInputError(
                 f"stacked vector of shape {x.shape}, expected ({self.total_dim},)"
             )
-        return float(
-            sum(a.objective.value(x[s]) for a, s in zip(self.agents, self._block_slices))
-        )
+        return x
+
+    def objective_value(self, x) -> float:
+        """Sum of the agents' objectives, added left to right from 0."""
+        return float(sum(self.kernel.objective_values(self._stacked(x)).tolist()))
 
     def constraint_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.total_dim,):
-            raise InvalidInputError(
-                f"stacked vector of shape {x.shape}, expected ({self.total_dim},)"
-            )
-        return self.kernel.constraint_values(x)
+        return self.kernel.constraint_values(self._stacked(x))
 
     def box_violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+        x = self._stacked(x)
         under = np.maximum(self.kernel.lower - x, 0.0)
         over = np.maximum(x - self.kernel.upper, 0.0)
         return float(np.max(under + over, initial=0.0))
@@ -288,7 +285,8 @@ class _Atoms:
 
 
 class _Dots:
-    """Constraint rows whose linear part or one atom family has one length.
+    """Value rows (constraint rows, or objectives) whose linear part or one
+    atom family has one length.
 
     Each row's dot product runs through ``np.vecdot`` at its exact length,
     which reproduces the BLAS dot of ``ConvexExpr.value`` bit for bit.
@@ -312,14 +310,40 @@ def _group_dots(entries):
     return tuple(_Dots(groups[length]) for length in sorted(groups))
 
 
+def _value_entries(values, row, f, start):
+    """Add the value rows of expression ``f`` on the block at ``start`` to
+    ``values``: lin.x + const, then each nonempty atom family."""
+    values["lin"].append((row, np.arange(start, start + f.dim), None, f.lin, f.const))
+    for fam, cen in (("quad", f.quad_center), ("abs", f.abs_center), ("exp", None)):
+        idx = getattr(f, f"{fam}_idx")
+        if len(idx):
+            values[fam].append((row, start + idx, cen, getattr(f, f"{fam}_weight"), None))
+
+
+def _dot_values(groups, x, out):
+    """Fill ``out`` with every value row of ``groups``, in the order of
+    ``ConvexExpr.value``: lin.x + const, then quad, abs and exp."""
+    for d in groups["lin"]:
+        out[d.rows] = np.vecdot(d.weight, x[d.coord]) + d.const
+    for d in groups["quad"]:
+        diff = x[d.coord] - d.center
+        out[d.rows] += np.vecdot(d.weight, diff * diff)
+    for d in groups["abs"]:
+        out[d.rows] += np.vecdot(d.weight, np.abs(x[d.coord] - d.center))
+    for d in groups["exp"]:
+        out[d.rows] += np.vecdot(d.weight, np.exp(x[d.coord]))
+    return out
+
+
 class VelocityKernel:
     """A set of agents compiled into flat arrays for one velocity evaluation.
 
     ``agents`` are ``AgentProblem`` rows and ``neighbors[i]`` lists row i's
     (neighbor index, edge weight) pairs in ascending order.  The arrays
     hold the objective atoms in stacked coordinates, the constraint rows
-    grouped by exact length and as per-column subgradient entries, the
-    neighbor table padded with zero weights, and the stacked box bounds.
+    and one objective value row per agent grouped by exact length, the
+    constraint rows as per-column subgradient entries, the neighbor table
+    padded with zero weights, and the stacked box bounds.
     ``evaluate`` applies one fixed sequence of numpy operations to every
     row; each row reads only its own block and the payloads delivered to
     it.  An objective that is not a ``ConvexExpr`` is asked for its own
@@ -352,20 +376,23 @@ class VelocityKernel:
         self.weight_columns = tuple(weights[:, k, None].copy() for k in range(width))
         self.edges = tuple((i, j) for i, nb in enumerate(neighbors) for j, _ in nb)
 
-        # objective atoms in stacked coordinates
+        # objective atoms in stacked coordinates, and one value row per agent
         lin = np.zeros(self.total_dim)
         opaque = []
         quad, abs_, exp = [], [], []
-        for a, s in zip(agents, self.blocks):
+        objective_values = {"lin": [], "quad": [], "abs": [], "exp": []}
+        for i, (a, s) in enumerate(zip(agents, self.blocks)):
             f = a.objective
             if not isinstance(f, ConvexExpr):
-                opaque.append((s, f))
+                opaque.append((i, s, f))
                 continue
+            _value_entries(objective_values, i, f, s.start)
             lin[s] = f.lin
             quad.append((s.start, s.start, f.quad_idx, f.quad_center, f.quad_weight))
             abs_.append((s.start, s.start, f.abs_idx, f.abs_center, f.abs_weight))
             exp.append((s.start, s.start, f.exp_idx, None, f.exp_weight))
         self.lin, self.opaque = lin, tuple(opaque)
+        self.objective_dots = {fam: _group_dots(v) for fam, v in objective_values.items()}
         self.quad = _Atoms(quad, twice=True)
         self.abs = _Atoms(abs_)
         self.exp = _Atoms(exp)
@@ -385,12 +412,10 @@ class VelocityKernel:
                 con_lin.extend(g.lin.tolist())
                 coord.extend(range(s.start, s.stop))
                 rows.extend([r] * dims[i])
-                values["lin"].append((r, np.arange(s.start, s.stop), None, g.lin, g.const))
+                _value_entries(values, r, g, s.start)
                 for fam, cen in (("quad", g.quad_center), ("abs", g.abs_center), ("exp", None)):
-                    idx, w = getattr(g, f"{fam}_idx"), getattr(g, f"{fam}_weight")
-                    sub[fam].append((p0, s.start, idx, cen, w))
-                    if len(idx):
-                        values[fam].append((r, s.start + idx, cen, w, None))
+                    sub[fam].append((p0, s.start, getattr(g, f"{fam}_idx"), cen,
+                                     getattr(g, f"{fam}_weight")))
             columns.append((np.asarray(coord, dtype=int), np.asarray(rows, dtype=int),
                             slice(start, len(con_lin))))
         self.con_lin = np.asarray(con_lin, dtype=float)
@@ -411,17 +436,14 @@ class VelocityKernel:
 
     def constraint_values(self, x):
         """g(x) of every constraint row, as ``ConvexExpr.value`` computes it."""
-        g = np.empty(self.multiplier_dim)
-        for d in self.value_dots["lin"]:
-            g[d.rows] = np.vecdot(d.weight, x[d.coord]) + d.const
-        for d in self.value_dots["quad"]:
-            diff = x[d.coord] - d.center
-            g[d.rows] += np.vecdot(d.weight, diff * diff)
-        for d in self.value_dots["abs"]:
-            g[d.rows] += np.vecdot(d.weight, np.abs(x[d.coord] - d.center))
-        for d in self.value_dots["exp"]:
-            g[d.rows] += np.vecdot(d.weight, np.exp(x[d.coord]))
-        return g
+        return _dot_values(self.value_dots, x, np.empty(self.multiplier_dim))
+
+    def objective_values(self, x):
+        """Every row's objective value, as its ``value`` computes it."""
+        out = _dot_values(self.objective_dots, x, np.empty(len(self.blocks)))
+        for i, blk, objective in self.opaque:
+            out[i] = objective.value(x[blk])
+        return out
 
     def evaluate(self, x, lam, mu, recv_x, recv_lam):
         """Velocity of every row from its block and its delivered payloads.
@@ -494,7 +516,7 @@ class VelocityKernel:
             s = np.where(at_kink, 0.0, np.sign(d))
             a.add(lo, a.weight * np.where(at_kink, -1.0, s))
             a.add(hi, a.weight * np.where(at_kink, 1.0, s))
-        for blk, objective in self.opaque:
+        for _, blk, objective in self.opaque:
             lo[blk], hi[blk] = objective.subgradient_interval(x[blk])
 
         sel = np.minimum(np.maximum(-base, lo), hi)
@@ -802,36 +824,29 @@ def _v1(state: SolverState, problem: ProblemInstance) -> float:
     )
 
 
-def lyapunov_value(
-    state: SolverState,
-    reference: SolverState,
-    problem: ProblemInstance,
-    ref_tol: float = 1e-4,
-) -> LyapunovValue:
-    """Evaluate the descent function at ``state`` against a converged point.
-
-    ``reference`` must be a near-equilibrium (its residual max-component
-    at most ``ref_tol``), otherwise the quadratic comparison terms are
-    meaningless and ``InvalidInputError`` is raised.  Along a trajectory
-    of ``integrate`` the total is nonincreasing up to discretization
-    error.
-    """
-    _check_state(state, problem)
+def _lyapunov_reference(reference: SolverState, problem: ProblemInstance, ref_tol: float):
+    """(reference, v1 at it, its selected subgradient): what the descent
+    function needs of a near-equilibrium, after checking its residual."""
     ref_res = kkt_residual(reference, problem)
     if ref_res.max_component > ref_tol:
         raise InvalidInputError(
             f"reference point has residual {ref_res.max_component:.3e} > {ref_tol:.3e}; "
             "not a usable equilibrium"
         )
-    K = problem.coupling.matrix
-    gain = problem.gain
-    v1 = _v1(state, problem)
-    v1_ref = _v1(reference, problem)
     kernel = problem.kernel
     x_ref, lam_ref, mu_ref = _check_state(reference, problem)
     grad_ref = kernel.selected_subgradient(
         x_ref, lam_ref, mu_ref, *kernel.gathered(x_ref, lam_ref)
     )
+    return reference, _v1(reference, problem), grad_ref
+
+
+def _lyapunov(state: SolverState, ref, problem: ProblemInstance) -> LyapunovValue:
+    """The descent function at ``state`` against ``_lyapunov_reference``'s ``ref``."""
+    reference, v1_ref, grad_ref = ref
+    K = problem.coupling.matrix
+    gain = problem.gain
+    v1 = _v1(state, problem)
     dx = state.x - reference.x
     dl = state.lam - reference.lam
     dm = state.mu - reference.mu
@@ -847,7 +862,37 @@ def lyapunov_value(
     return LyapunovValue(total=v1 + v2 + v3 + v4, v1=v1, v2=v2, v3=v3, v4=v4)
 
 
+def lyapunov_value(
+    state: SolverState,
+    reference: SolverState,
+    problem: ProblemInstance,
+    ref_tol: float = 1e-4,
+) -> LyapunovValue:
+    """Evaluate the descent function at ``state`` against a converged point.
+
+    ``reference`` must be a near-equilibrium (its residual max-component
+    at most ``ref_tol``), otherwise the quadratic comparison terms are
+    meaningless and ``InvalidInputError`` is raised.  Along a trajectory
+    of ``integrate`` the total is nonincreasing up to discretization
+    error.
+    """
+    _check_state(state, problem)
+    return _lyapunov(state, _lyapunov_reference(reference, problem, ref_tol), problem)
+
+
 # -- trajectory export -------------------------------------------------------
+
+#: values a CSV writer formats per write, which bounds its extra memory
+_CSV_CHUNK_VALUES = 1 << 14
+
+
+def _write_rows(fh, row, columns):
+    """Write ``row % values`` for every row of the equal-length 1-D
+    ``columns``, a chunk of about ``_CSV_CHUNK_VALUES`` values at a time."""
+    rows = max(1, _CSV_CHUNK_VALUES // len(columns))
+    for start in range(0, len(columns[0]), rows):
+        part = [c[start : start + rows].tolist() for c in columns]
+        fh.write("".join(map(row.__mod__, zip(*part))))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance, reference=None):
@@ -867,25 +912,18 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
         + ["objective", "res_stationarity", "res_consensus",
            "res_complementarity", "res_feasibility"]
     )
+    rows, states = len(trajectory.times), trajectory.states
+    columns = [np.array(trajectory.times, dtype=float)]
+    for name, width in (("x", n), ("lam", n), ("mu", m)):
+        columns.extend(np.array([getattr(st, name) for st in states],
+                                dtype=float).reshape(rows, width).T)
+    columns.append(np.array(trajectory.objectives, dtype=float))
+    columns.extend(np.array([res.as_tuple() for res in trajectory.residuals],
+                            dtype=float).reshape(rows, 4).T)
     if reference is not None:
         header.append("V")
-
-    def fmt(v):
-        return f"{v:.17g}"
-
+        ref = _lyapunov_reference(reference, problem, 1e-4)
+        columns.append(np.array([_lyapunov(st, ref, problem).total for st in states]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for t, st, res, obj in zip(
-            trajectory.times, trajectory.states, trajectory.residuals, trajectory.objectives
-        ):
-            row = (
-                [fmt(t)]
-                + [fmt(v) for v in st.x]
-                + [fmt(v) for v in st.lam]
-                + [fmt(v) for v in st.mu]
-                + [fmt(obj), fmt(res.stationarity), fmt(res.consensus),
-                   fmt(res.complementarity), fmt(res.feasibility)]
-            )
-            if reference is not None:
-                row.append(fmt(lyapunov_value(st, reference, problem).total))
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(header)) + "\n", columns)

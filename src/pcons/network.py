@@ -14,10 +14,16 @@ in-process simulation: rounds are lockstep, there is no loss or delay.
 
 One round is one step.  rk4 needs neighbor values at every stage state,
 so an rk4 round costs four exchanges; an Euler round costs one.
+
+A ``MessageLog`` keeps the traffic as one payload table per exchange
+(the table the gather reads) and builds a ``Message`` only when one is
+read; ``write_message_log_csv`` formats the tables in bulk.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .dynamics import (
     _check_state,
     _drive,
     _step,
+    _write_rows,
     initial_state,
 )
 from .errors import InvalidInputError, ProtocolError
@@ -46,6 +53,100 @@ class Message:
     receiver: int
     x_shared: np.ndarray
     lam_shared: np.ndarray
+
+
+#: payloads an ``_Exchanges`` block holds, which keeps every array of a
+#: log and of its CSV tables small
+_BLOCK_PAYLOADS = 4096
+
+
+class _Exchanges:
+    """Consecutive exchanges over one edge list: their step indices and
+    payload tables, in blocks of a fixed number of exchanges."""
+
+    def __init__(self, edges, shape):
+        self.edges, self.shape, self.rounds = edges, shape, []
+        self.per_block = max(1, _BLOCK_PAYLOADS // len(edges))
+        self.blocks = []  # (x tables, lambda tables) of per_block exchanges
+
+    def append(self, n, px, pl):
+        k = len(self.rounds) % self.per_block
+        if k == 0:
+            size = (self.per_block, *self.shape)
+            self.blocks.append((np.empty(size), np.empty(size)))
+        x, lam = self.blocks[-1]
+        x[k], lam[k] = px, pl
+        self.rounds.append(n)
+
+    def table(self, e):
+        """The (x, lambda) payload table of exchange ``e``."""
+        x, lam = self.blocks[e // self.per_block]
+        return x[e % self.per_block], lam[e % self.per_block]
+
+
+class MessageLog:
+    """Every payload of a run, kept as one table per exchange.
+
+    An exchange is recorded as its step index (the round of its
+    payloads), the kernel's (receiver, sender) edge list and the payload
+    table ``VelocityKernel.payloads`` returns: every row's shared x and
+    lambda prefix.  No per-payload object is kept.  ``len()`` counts the
+    payloads; indexing and iteration build each ``Message`` on demand, in
+    the order of a list log: exchange by exchange, receiver by receiver,
+    neighbors ascending.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._runs = []  # _Exchanges, one per change of edge list
+        self._count = 0
+
+    def record(self, edges, n, px, pl):
+        """Log the exchange of step index ``n`` with payload table (px, pl)."""
+        if not edges:
+            return
+        if not self._runs or self._runs[-1].edges is not edges:
+            self._runs.append(_Exchanges(edges, px.shape))
+        self._runs[-1].append(n, px, pl)
+        self._count += len(edges)
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        for run in self._runs:
+            for e, n in enumerate(run.rounds):
+                px, pl = run.table(e)
+                for i, j in run.edges:
+                    yield Message(round_index=n, sender=j + 1, receiver=i + 1,
+                                  x_shared=px[j], lam_shared=pl[j])
+
+    def __getitem__(self, k):
+        k = range(self._count)[k]  # IndexError and negative indices as a list
+        for run in self._runs:
+            size = len(run.rounds) * len(run.edges)
+            if k < size:
+                e, edge = divmod(k, len(run.edges))
+                i, j = run.edges[edge]
+                px, pl = run.table(e)
+                return Message(round_index=run.rounds[e], sender=j + 1, receiver=i + 1,
+                               x_shared=px[j], lam_shared=pl[j])
+            k -= size
+
+    def tables(self):
+        """(round, sender, receiver, payload) columns, one set per block of
+        exchanges; payload rows are x then lambda."""
+        for run in self._runs:
+            receiver, sender = np.array(run.edges).T
+            for b, (x, lam) in enumerate(run.blocks):
+                rounds = run.rounds[b * run.per_block : (b + 1) * run.per_block]
+                e = len(rounds)
+                payload = np.concatenate((x[:e, sender], lam[:e, sender]), axis=2)
+                yield (np.repeat(rounds, len(sender)), np.tile(sender + 1, e),
+                       np.tile(receiver + 1, e),
+                       payload.reshape(e * len(sender), payload.shape[2]))
 
 
 class Agent:
@@ -161,9 +262,8 @@ class _Exchange:
 
     Each agent sends its shared prefix along every incident edge; a
     receiver's payloads are gathered from the senders' payload table.
-    Payloads of step index ``n`` are logged (when ``log`` is a list) as
-    round ``n``, receiver by receiver, neighbors ascending; ``sent``
-    counts the directed payloads.
+    The table of step index ``n`` is recorded (when ``log`` is a
+    ``MessageLog``) as round ``n``; ``sent`` counts the directed payloads.
     """
 
     def __init__(self, kernel, log):
@@ -173,14 +273,24 @@ class _Exchange:
         kernel = self.kernel
         px, pl = kernel.payloads(x, lam)
         if self.log is not None:
-            xs, ls = list(px), list(pl)
-            self.log.extend(
-                Message(round_index=n, sender=j + 1, receiver=i + 1,
-                        x_shared=xs[j], lam_shared=ls[j])
-                for i, j in kernel.edges
-            )
+            self.log.record(kernel.edges, n, px, pl)
         self.sent += len(kernel.edges)
         return kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
+
+
+@contextmanager
+def _table_log(log):
+    """The ``MessageLog`` an exchange records into: ``log`` itself (or
+    None), or for a list a fresh one whose messages extend the list when
+    the block ends, however it ends."""
+    if log is None or isinstance(log, MessageLog):
+        yield log
+        return
+    table = MessageLog()
+    try:
+        yield table
+    finally:
+        log.extend(table)
 
 
 def _capture_rows(agents, capture):
@@ -203,10 +313,11 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
         raise ProtocolError(f"agents out of sync: round numbers {sorted(rounds)}")
     rnd = agents[0].round_index
     kernel = _stacked_kernel(agents)
-    exchange = _Exchange(kernel, log)
     z = tuple(np.concatenate([getattr(a, f) for a in agents]) for f in ("x", "lam", "mu"))
-    x, lam, mu = _step(kernel, exchange, _capture_rows(agents, capture), z, None,
-                       rnd, rnd * h, h, method)
+    with _table_log(log) as table:
+        exchange = _Exchange(kernel, table)
+        x, lam, mu = _step(kernel, exchange, _capture_rows(agents, capture), z, None,
+                           rnd, rnd * h, h, method)
     for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
         agent.x, agent.lam, agent.mu = x[s], lam[s], mu[ms]
         agent.round_index += 1
@@ -231,32 +342,48 @@ def run_decentralized(
     termination, recording, capture and a ``DivergenceError`` are those
     of the centralized run; additionally the trajectory carries the
     total number of directed payloads and the per-step cost.  Pass a
-    list as ``message_log`` to record every payload.
+    ``MessageLog`` or a list as ``message_log`` to record every payload;
+    a list receives the messages when the run ends, also when it raises.
     """
     _check_settings(h, method, t_max, kkt_tol, record_every)
     state = init if init is not None else initial_state(problem, "zeros")
     z = _check_state(state, problem)
     agents = build_agents(problem, state)
     kernel = _stacked_kernel(agents)
-    exchange = _Exchange(kernel, message_log)
-    trajectory = _drive(problem, kernel, exchange, _capture_rows(agents, capture_kinks), z,
-                        state.t, h, method, t_max, kkt_tol, record_every)
+    with _table_log(message_log) as table:
+        exchange = _Exchange(kernel, table)
+        trajectory = _drive(problem, kernel, exchange, _capture_rows(agents, capture_kinks), z,
+                            state.t, h, method, t_max, kkt_tol, record_every)
     trajectory.message_rounds = trajectory.total_steps
     trajectory.message_count = exchange.sent
     trajectory.messages_per_step = len(kernel.edges) * (1 if method == "euler" else 4)
     return trajectory
 
 
+def _pack(messages):
+    """Consecutive ``Message``s with one payload shape, as the columns of
+    ``MessageLog.tables``."""
+    def shape(m):
+        return len(m.x_shared), len(m.lam_shared)
+
+    for _, run in groupby(messages, key=shape):
+        run = list(run)
+        payload = np.hstack((np.array([m.x_shared for m in run], dtype=float),
+                             np.array([m.lam_shared for m in run], dtype=float)))
+        yield (np.array([m.round_index for m in run]), np.array([m.sender for m in run]),
+               np.array([m.receiver for m in run]), payload)
+
+
 def write_message_log_csv(messages, path):
     """CSV dump of a message log: round, sender, receiver, payload.
 
-    The payload column joins the shared x components and the shared
-    lambda components with semicolons.
+    ``messages`` is a ``MessageLog`` or a sequence of ``Message``s.  The
+    payload column joins the shared x components and the shared lambda
+    components with semicolons.
     """
+    tables = messages.tables() if isinstance(messages, MessageLog) else _pack(messages)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("round,sender,receiver,payload\n")
-        for m in messages:
-            payload = ";".join(
-                f"{v:.17g}" for v in np.concatenate([m.x_shared, m.lam_shared])
-            )
-            fh.write(f"{m.round_index},{m.sender},{m.receiver},{payload}\n")
+        for rounds, senders, receivers, payload in tables:
+            row = "%d,%d,%d," + ";".join(["%.17g"] * payload.shape[1]) + "\n"
+            _write_rows(fh, row, [rounds, senders, receivers, *payload.T])

@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, files, determinism."""
+import hashlib
 import json
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestSolveCommand:
         assert messages[0] == "round,sender,receiver,payload"
         assert len(messages) - 1 == int(s2["messages_total"])
         assert int(s2["messages_per_step"]) == 16
+
+    def test_message_log_builds_no_message(self, tmp_path, monkeypatch):
+        def refuse(**fields):
+            raise AssertionError("a Message was built")
+
+        monkeypatch.setattr(pcons.network, "Message", refuse)
+        out = tmp_path / "dec"
+        assert main(["solve", EX2, "--decentralized", "--log-messages", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "messages.csv").read_bytes()).hexdigest()
+        assert digest == "e5549694a2aba4f35e454c0fc0a8829abe0dff4bcd598cca529bb6665196ec6b"
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -273,6 +273,19 @@ class TestTrajectoryExport:
         last_v = float(lines[-1].rsplit(",", 1)[1])
         assert last_v < first_v
 
+    def test_descent_column_is_lyapunov_value(self, tmp_path, example2, example2_run_tight):
+        p, ref = example2.problem, example2_run_tight.final
+        traj = integrate(p, h=1e-3, t_max=0.2, kkt_tol=1e-15)
+        path = tmp_path / "traj.csv"
+        pcons.write_trajectory_csv(traj, path, p, reference=ref)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == len(traj.states) == 201
+        for line, st in zip(lines, traj.states, strict=True):
+            got, want = float(line.rsplit(",", 1)[1]), lyapunov_value(st, ref, p).total
+            assert got == want and np.signbit(got) == np.signbit(want)
+        with pytest.raises(InvalidInputError, match="not a usable equilibrium"):
+            pcons.write_trajectory_csv(traj, path, p, reference=traj.states[0])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_step_raises(self):
         p = ProblemInstance(
@@ -355,6 +368,12 @@ class TestStateValidation:
         for state in self.bad_states(example2.problem):
             with pytest.raises(InvalidInputError):
                 kkt_residual(state, example2.problem)
+
+    def test_box_violation_rejects_wrong_shape(self, example2):
+        p = example2.problem
+        for bad in ([100.0], 5.0, np.zeros(6), np.zeros((5, 1))):
+            with pytest.raises(InvalidInputError):
+                p.box_violation(bad)
 
     def test_lyapunov_value_short_multipliers(self, example2, example2_run_tight):
         ref = example2_run_tight.final

@@ -266,3 +266,22 @@ class TestSelectedSubgradient:
         kernel = problem.kernel
         got = kernel.selected_subgradient(x, lam, mu, *kernel.gathered(x, lam))
         assert_bits_equal(got, reference_selected_gradient(problem, x, lam, mu))
+
+
+# -- objective values --------------------------------------------------------
+
+
+class TestObjectiveValue:
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), st.data())
+    def test_matches_the_per_agent_sum(self, case, data):
+        problem, x, _, _ = case
+        agents = [
+            AgentProblem(Opaque(a.objective), a.constraints, a.box)
+            if data.draw(st.booleans()) else a
+            for a in problem.agents
+        ]
+        problem = ProblemInstance(agents, problem.laplacian, problem.depth)
+        want = float(sum(a.objective.value(x[problem.block(i)])
+                         for i, a in enumerate(problem.agents)))
+        assert_bits_equal(problem.objective_value(x), want)

@@ -1,15 +1,20 @@
 """Message-passing agents and centralized/decentralized equivalence."""
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcons import convex
+from pcons import convex, network
 from pcons.dynamics import (
     METHODS, AgentProblem, ProblemInstance, SolverState, initial_state, integrate, step,
     write_trajectory_csv,
 )
 from pcons.errors import DivergenceError, InvalidInputError, ProtocolError
-from pcons.network import build_agents, run_decentralized, synchronous_round
+from pcons.network import (
+    Message, MessageLog, build_agents, run_decentralized, synchronous_round,
+    write_message_log_csv,
+)
 
 from conftest import random_problem
 
@@ -291,3 +296,130 @@ class TestWholeRunBitIdentity:
             write_trajectory_csv(central, out / "central.csv", p)
             write_trajectory_csv(decentral, out / "decentral.csv", p)
             assert (out / "central.csv").read_bytes() == (out / "decentral.csv").read_bytes()
+
+
+# -- the message log against the per-payload reference -----------------------
+
+
+class ReferenceExchange(network._Exchange):
+    """The exchange with per-payload logging: one ``Message`` per payload,
+    appended to a list as it is sent."""
+
+    def __call__(self, x, lam, mu, n):
+        kernel = self.kernel
+        px, pl = kernel.payloads(x, lam)
+        if self.log is not None:
+            xs, ls = list(px), list(pl)
+            self.log.extend(
+                Message(round_index=n, sender=j + 1, receiver=i + 1,
+                        x_shared=xs[j], lam_shared=ls[j])
+                for i, j in kernel.edges
+            )
+        self.sent += len(kernel.edges)
+        return kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
+
+
+@contextlib.contextmanager
+def per_payload_logging():
+    """Run the network with ``ReferenceExchange`` appending to the list log."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_Exchange", ReferenceExchange)
+        mp.setattr(network, "_table_log", contextlib.nullcontext)
+        yield
+
+
+def reference_write_message_log_csv(messages, path):
+    """The message CSV written one message at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("round,sender,receiver,payload\n")
+        for m in messages:
+            payload = ";".join(
+                f"{v:.17g}" for v in np.concatenate([m.x_shared, m.lam_shared])
+            )
+            fh.write(f"{m.round_index},{m.sender},{m.receiver},{payload}\n")
+
+
+def assert_same_messages(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want, strict=True):
+        assert (a.round_index, a.sender, a.receiver) == (b.round_index, b.sender, b.receiver)
+        for u, v in ((a.x_shared, b.x_shared), (a.lam_shared, b.lam_shared)):
+            assert np.array_equal(u, v)
+            assert np.array_equal(np.signbit(u), np.signbit(v))
+
+
+class TestMessageLog:
+    signed = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_matches_per_payload_reference(self, tmp_path_factory, seed, deepest, data):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng)
+        if deepest:  # the largest depth the dimensions allow
+            p = ProblemInstance(p.agents, p.laplacian, min(a.dim for a in p.agents))
+        n, m = p.total_dim, p.multiplier_dim
+        init = SolverState(*(np.array(data.draw(st.lists(self.signed, min_size=k, max_size=k)))
+                             for k in (n, n, m)))
+        out = tmp_path_factory.mktemp("logs")
+        for method in METHODS:
+            kwargs = dict(h=2e-3, method=method, t_max=0.02, kkt_tol=1e-15)
+            want, table, listed = [], MessageLog(), []
+            with per_payload_logging():
+                run_decentralized(p, init, message_log=want, **kwargs)
+            run_decentralized(p, init, message_log=table, **kwargs)
+            run_decentralized(p, init, message_log=listed, **kwargs)
+            assert_same_messages(list(table), want)
+            assert_same_messages(listed, want)
+            reference_write_message_log_csv(want, out / "reference.csv")
+            write_message_log_csv(table, out / "table.csv")
+            write_message_log_csv(listed, out / "list.csv")
+            expected = (out / "reference.csv").read_bytes()
+            assert (out / "table.csv").read_bytes() == expected
+            assert (out / "list.csv").read_bytes() == expected
+
+    def test_diverging_run_leaves_the_same_messages(self, example2):
+        kwargs = dict(h=0.3, method="euler", t_max=100.0, kkt_tol=1e-6)
+        want, got = [], []
+        with per_payload_logging(), pytest.raises(DivergenceError):
+            run_decentralized(example2.problem, message_log=want, **kwargs)
+        with pytest.raises(DivergenceError):
+            run_decentralized(example2.problem, message_log=got, **kwargs)
+        assert want
+        assert_same_messages(got, want)
+
+    def test_synchronous_round_list_log(self, example2):
+        init = SolverState(np.array([0.3, -0.0, 1.0, -0.0, 2.0]),
+                           np.array([-0.0, 0.5, -0.0, 0.0, 1.0]), np.zeros(3))
+        for method in METHODS:
+            agents = build_agents(example2.problem, init)
+            reference = build_agents(example2.problem, init)
+            got, want = [], []
+            for _ in range(3):
+                assert synchronous_round(agents, 1e-3, method, log=got)[1] == 4 * (
+                    1 if method == "euler" else 4)
+                with per_payload_logging():
+                    synchronous_round(reference, 1e-3, method, log=want)
+            assert_same_messages(got, want)
+            for a, b in zip(agents, reference, strict=True):
+                assert np.array_equal(a.x, b.x) and np.array_equal(a.lam, b.lam)
+
+    def test_reads_like_a_list(self, example2, tmp_path):
+        # 300 rk4 steps: 1201 exchanges, more than one block of payload tables
+        table, want = MessageLog(), []
+        kwargs = dict(h=1e-3, method="rk4", t_max=0.3, kkt_tol=1e-15)
+        run_decentralized(example2.problem, message_log=table, **kwargs)
+        with per_payload_logging():
+            run_decentralized(example2.problem, message_log=want, **kwargs)
+        assert len(table) == len(want) == 1201 * 4
+        assert_same_messages(list(table), want)
+        for k in (0, 1, 4095, 4096, 4097, -1, -len(want)):
+            assert_same_messages([table[k]], [want[k]])
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                table[k]
+        write_message_log_csv(table, tmp_path / "table.csv")
+        reference_write_message_log_csv(want, tmp_path / "reference.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        table.clear()
+        assert len(table) == 0 and list(table) == []
