@@ -164,8 +164,15 @@ class ProblemInstance:
         return x
 
     def objective_value(self, x) -> float:
-        """Sum of the agents' objectives, added left to right from 0."""
-        return float(sum(self.kernel.objective_values(self._stacked(x)).tolist()))
+        """Sum of the agents' objectives, added left to right from 0.0.
+
+        An explicit loop, because ``sum`` of floats is compensated from
+        Python 3.12 on and would round differently between versions.
+        """
+        total = 0.0
+        for value in self.kernel.objective_values(self._stacked(x)).tolist():
+            total += value
+        return total
 
     def constraint_values(self, x) -> np.ndarray:
         return self.kernel.constraint_values(self._stacked(x))

@@ -8,8 +8,17 @@ every agent independently over its own free grid, rejecting infeasible
 points.  This evaluates exactly the same minimum as enumerating the full
 product grid, at a fraction of the cost, and shares no code path with
 the flow it is used to check.
+
+Each agent's S x P mesh (S shared points, P free points) is scanned in
+blocks of whole shared rows of at most ``_BLOCK_POINTS`` points, so the
+working memory is one block plus arrays of length S and P, not S*P.
+``MAX_GRID_POINTS`` therefore bounds the time of a search, and it is
+checked for every agent before any agent is evaluated.
 """
 from __future__ import annotations
+
+import math
+from numbers import Integral
 
 import numpy as np
 
@@ -19,16 +28,32 @@ from .errors import InvalidInputError
 #: refuse grids whose largest per-agent mesh would exceed this many points
 MAX_GRID_POINTS = 50_000_000
 
+#: points per block of an agent's mesh; bounds the memory of one search
+_BLOCK_POINTS = 65_536
+
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidInputError("brute force needs bounded boxes")
-    count = int(np.floor((hi - lo) / step + 1e-9))
+    count = np.floor((hi - lo) / step + 1e-9)
+    # NaN fails the test too; checked before np.arange allocates the axis
+    if not count < MAX_GRID_POINTS:
+        raise InvalidInputError(
+            f"grid too fine: {count + 1:.0f} points on one axis exceeds {MAX_GRID_POINTS}"
+        )
+    count = int(count)
     # lo + step*k can round past hi; the clamp keeps every point in the box
     pts = np.minimum(lo + step * np.arange(count + 1), hi)
     if hi - pts[-1] > 1e-12 * max(1.0, abs(hi)):
         pts = np.append(pts, hi)
     return pts
+
+
+def _mesh(axes) -> np.ndarray:
+    """(points, len(axes)) product of ``axes``, the last axis varying fastest."""
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _shared_bounds(problem: ProblemInstance):
@@ -46,45 +71,44 @@ def _shared_bounds(problem: ProblemInstance):
 def _search(problem, shared_axes, free_axes_per_agent):
     """Best value over the product of the given axes; None when infeasible."""
     depth = problem.depth
-    shared_mesh = np.stack(
-        [m.ravel() for m in np.meshgrid(*shared_axes, indexing="ij")], axis=-1
-    )  # (S, depth)
-    S = shared_mesh.shape[0]
-    total = np.zeros(S)
-    argmins = []
-    for agent, free_axes in zip(problem.agents, free_axes_per_agent):
-        if free_axes:
-            free_mesh = np.stack(
-                [m.ravel() for m in np.meshgrid(*free_axes, indexing="ij")], axis=-1
-            )  # (P, n_free)
-        else:
-            free_mesh = np.zeros((1, 0))
-        P = free_mesh.shape[0]
+    S = math.prod(len(ax) for ax in shared_axes)
+    for free_axes in free_axes_per_agent:
+        P = math.prod(len(ax) for ax in free_axes)
         if S * P > MAX_GRID_POINTS:
             raise InvalidInputError(
                 f"grid too fine: {S}x{P} evaluations for one agent exceeds {MAX_GRID_POINTS}"
             )
-        pts = np.empty((S, P, agent.dim))
-        pts[:, :, :depth] = shared_mesh[:, None, :]
-        if free_mesh.shape[1]:
-            pts[:, :, depth:] = free_mesh[None, :, :]
-        values = agent.objective.value_many(pts)
-        feasible = np.ones((S, P), dtype=bool)
-        for comp in agent.constraints.components:
-            feasible &= comp.value_many(pts) <= 0.0
-        values = np.where(feasible, values, np.inf)
-        best_idx = np.argmin(values, axis=1)
-        best_val = values[np.arange(S), best_idx]
-        total += best_val
-        argmins.append(free_mesh[best_idx])  # (S, n_free)
+    shared_mesh = _mesh(shared_axes)  # (S, depth)
+    total = np.zeros(S)
+    argmins = []
+    for agent, free_axes in zip(problem.agents, free_axes_per_agent):
+        free_mesh = _mesh(free_axes)  # (P, n_free)
+        P = free_mesh.shape[0]
+        rows = max(1, _BLOCK_POINTS // P)
+        # only the shared columns change from block to block
+        buf = np.empty((min(rows, S), P, agent.dim))
+        buf[:, :, depth:] = free_mesh
+        best_idx = np.empty(S, dtype=np.intp)
+        for a in range(0, S, rows):
+            b = min(a + rows, S)
+            pts = buf[: b - a]
+            pts[:, :, :depth] = shared_mesh[a:b, None, :]
+            values = agent.objective.value_many(pts)
+            feasible = np.ones((b - a, P), dtype=bool)
+            for comp in agent.constraints.components:
+                feasible &= comp.value_many(pts) <= 0.0
+            values = np.where(feasible, values, np.inf)
+            best_idx[a:b] = np.argmin(values, axis=1)
+            total[a:b] += values[np.arange(b - a), best_idx[a:b]]
+        argmins.append((free_mesh, best_idx))
     if not np.any(np.isfinite(total)):
         return None
     s_best = int(np.argmin(total))
     point = np.empty(problem.total_dim)
-    for i, agent in enumerate(problem.agents):
+    for i, (free_mesh, best_idx) in enumerate(argmins):
         s = problem.block(i)
         point[s][:depth] = shared_mesh[s_best]
-        point[s][depth:] = argmins[i][s_best]
+        point[s][depth:] = free_mesh[best_idx[s_best]]
     return point, float(total[s_best])
 
 
@@ -95,10 +119,13 @@ def brute_force_solve(problem: ProblemInstance, grid: float, refine: int = 0):
     reduced dimension (shared block plus all free coordinates) of at
     most 4.  Returns ``(point, value)`` with ``point`` the stacked
     full-dimensional minimizer found.  ``refine`` adds rounds of local
-    10x-finer search around the incumbent.
+    10x-finer search around the incumbent.  ``grid`` must be finite and
+    positive and ``refine`` an integer >= 0.
     """
-    if grid <= 0:
-        raise InvalidInputError(f"grid step must be positive, got {grid}")
+    if not 0.0 < grid < np.inf:
+        raise InvalidInputError(f"grid step must be finite and positive, got {grid}")
+    if isinstance(refine, bool) or not isinstance(refine, Integral) or refine < 0:
+        raise InvalidInputError(f"refine must be an integer >= 0, got {refine!r}")
     depth = problem.depth
     reduced = depth + sum(a.dim - depth for a in problem.agents)
     if reduced > 4:

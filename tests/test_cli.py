@@ -140,6 +140,17 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "oracle value: 0" in out
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--grid", "nan"], "grid step must be finite and positive"),
+        (["--grid", "inf"], "grid step must be finite and positive"),
+        (["--refine", "-3"], "refine must be an integer >= 0"),
+        (["--grid", "1e-300"], "grid too fine"),
+    ])
+    def test_oracle_rejects_bad_grid_and_refine(self, argv, reason, capsys):
+        assert main(["oracle", EX2, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+
 
 class TestErrorPaths:
     def test_usage_error(self, capsys):

@@ -415,3 +415,15 @@ class TestSettingsValidation:
         for h in (np.nan, np.inf, 0.0):
             with pytest.raises(InvalidInputError, match="h must be finite and positive"):
                 step(s, p, h, "euler")
+
+
+class TestObjectiveValue:
+    def test_agents_are_added_left_to_right_from_zero(self):
+        # 1e16 + 1.0 rounds back to 1e16, so plain left-to-right addition
+        # gives 1.0; a compensated sum (Python 3.12's float sum) gives 2.0
+        values = (1e16, 1.0, -1e16, 1.0)
+        agents = [AgentProblem(objective=convex.affine([0.0], v)) for v in values]
+        lap = np.diag([1.0, 2.0, 2.0, 1.0]) - np.eye(4, k=1) - np.eye(4, k=-1)
+        p = ProblemInstance(agents, lap, 1)
+        assert p.kernel.objective_values(np.zeros(4)).tolist() == list(values)
+        assert p.objective_value(np.zeros(4)) == 1.0
