@@ -10,10 +10,11 @@ multiplier per constraint row.  The flow
 
 drives x to a KKT point of the coupled problem; ``gain`` is one plus the
 largest eigenvalue of the coupling matrix K.  Time stepping is explicit
-fixed-step Euler or classical rk4.  One stepper and one driver loop serve
-both execution modes; they differ only in the stage evaluator that
-supplies the velocity at a stage state: a gather from the payload table
-here, an exchange between agents in ``pcons.network``.
+fixed-step Euler or classical rk4 on the packed state z = [x, lambda,
+mu].  One stepper and one driver loop serve both execution modes; they
+differ only in the stage evaluator that supplies the packed velocity at
+a stage state: a gather from the state here, an exchange between agents
+in ``pcons.network``.
 
 Two practical refinements address the nonsmooth sliding modes created by
 absolute-value atoms (fixed-step explicit methods otherwise chatter at a
@@ -34,6 +35,7 @@ trajectories.
 """
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -178,10 +180,7 @@ class ProblemInstance:
         return self.kernel.constraint_values(self._stacked(x))
 
     def box_violation(self, x) -> float:
-        x = self._stacked(x)
-        under = np.maximum(self.kernel.lower - x, 0.0)
-        over = np.maximum(x - self.kernel.upper, 0.0)
-        return float(np.max(under + over, initial=0.0))
+        return float(_box_violations(self.kernel, self._stacked(x)))
 
     def _probe_slater(self, rng, samples: int = 200):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -200,6 +199,14 @@ class ProblemInstance:
             "a constraint qualification could not be verified",
             stacklevel=3,
         )
+
+
+def _box_violations(kernel, x):
+    """The largest box violation of the stacked x, or of each row of a
+    (states, total_dim) x."""
+    under = np.maximum(kernel.lower - x, 0.0)
+    over = np.maximum(x - kernel.upper, 0.0)
+    return np.max(under + over, axis=-1, initial=0.0)
 
 
 def coupling_gain(pc: PartialConsensusMatrix) -> float:
@@ -342,6 +349,27 @@ def _dot_values(groups, x, out):
     return out
 
 
+def _dot_value_rows(groups, xs, out):
+    """``_dot_values`` at every row of the (states, total_dim) array
+    ``xs``, into the columns of ``out``.
+
+    ``np.take`` gathers each group C-contiguous, so every dot runs at its
+    exact length over unit strides, as in ``_dot_values``.  ``xs[:, coord]``
+    would put the states innermost, and the BLAS dot of a strided row
+    rounds differently (no FMA).
+    """
+    for d in groups["lin"]:
+        out[:, d.rows] = np.vecdot(d.weight, np.take(xs, d.coord, axis=1)) + d.const
+    for d in groups["quad"]:
+        diff = np.take(xs, d.coord, axis=1) - d.center
+        out[:, d.rows] += np.vecdot(d.weight, diff * diff)
+    for d in groups["abs"]:
+        out[:, d.rows] += np.vecdot(d.weight, np.abs(np.take(xs, d.coord, axis=1) - d.center))
+    for d in groups["exp"]:
+        out[:, d.rows] += np.vecdot(d.weight, np.exp(np.take(xs, d.coord, axis=1)))
+    return out
+
+
 class VelocityKernel:
     """A set of agents compiled into flat arrays for one velocity evaluation.
 
@@ -382,6 +410,10 @@ class VelocityKernel:
                 self.nbr[i, k], weights[i, k] = j, w
         self.weight_columns = tuple(weights[:, k, None].copy() for k in range(width))
         self.edges = tuple((i, j) for i, nb in enumerate(neighbors) for j, _ in nb)
+
+        # the packed state z = [x, lambda, mu]
+        self._lam_shared = self.total_dim + self.shared
+        self._stay = np.full(self.total_dim, -0.0)
 
         # objective atoms in stacked coordinates, and one value row per agent
         lin = np.zeros(self.total_dim)
@@ -432,14 +464,22 @@ class VelocityKernel:
         self.con_exp = _Atoms(sub["exp"])
         self.value_dots = {fam: _group_dots(v) for fam, v in values.items()}
 
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """The x (and lambda) index of every payload each row receives,
+        in the shape of ``evaluate``'s ``recv_x``.  Only a kernel whose
+        neighbors are its own rows has one; an agent's one-agent kernel
+        has none."""
+        return self.shared[self.nbr]
+
     def payloads(self, x, lam):
         """The payload table: every row's shared (x, lambda) prefix."""
         return x[self.shared], lam[self.shared]
 
     def gathered(self, x, lam):
-        """Every row's received payloads, gathered from the payload table."""
-        px, pl = self.payloads(x, lam)
-        return px[self.nbr], pl[self.nbr]
+        """Every row's received payloads, as a gather from the payload
+        table would deliver them."""
+        return x[self.gather], lam[self.gather]
 
     def constraint_values(self, x):
         """g(x) of every constraint row, as ``ConvexExpr.value`` computes it."""
@@ -450,6 +490,14 @@ class VelocityKernel:
         out = _dot_values(self.objective_dots, x, np.empty(len(self.blocks)))
         for i, blk, objective in self.opaque:
             out[i] = objective.value(x[blk])
+        return out
+
+    def objective_value_rows(self, xs):
+        """``objective_values`` at every row of the (states, total_dim)
+        array ``xs``, as a (states, rows) array."""
+        out = _dot_value_rows(self.objective_dots, xs, np.empty((len(xs), len(self.blocks))))
+        for i, blk, objective in self.opaque:
+            out[:, i] = [objective.value(x) for x in xs[:, blk]]
         return out
 
     def evaluate(self, x, lam, mu, recv_x, recv_lam):
@@ -529,22 +577,40 @@ class VelocityKernel:
         sel = np.minimum(np.maximum(-base, lo), hi)
         return sel, base, dlam, pp, g
 
-    def packed(self, velocity) -> np.ndarray:
-        """(dx, dlambda, dmu) of ``evaluate`` as one vector like the state."""
-        dx, dlam, dmu, _ = velocity
+    def split(self, z):
+        """(x, lambda, mu) views of a packed state or velocity."""
         n = self.total_dim
-        dz = np.zeros(2 * n + self.multiplier_dim)
-        dz[:n] = dx
-        dz[n : 2 * n][self.shared] = dlam
-        dz[2 * n :] = dmu
-        return dz
+        return z[:n], z[n : 2 * n], z[2 * n :]
+
+    def pack(self, velocity):
+        """``evaluate``'s (dx, dlambda, dmu, g) as (dz, g), with dz packed
+        like the state z = [x, lambda, mu].
+
+        The non-shared dlambda slots hold -0.0: adding ``coef * dz`` to a
+        state keeps every bit of its non-shared lambda entries, a -0.0
+        included.
+        """
+        dx, dlam, dmu, g = velocity
+        dz = np.concatenate((dx, self._stay, dmu))
+        dz[self._lam_shared] = dlam
+        return dz, g
+
+    def locate(self, k) -> str:
+        """Entry ``k`` of a packed state as "agent i, field_j", both 1-based."""
+        n = self.total_dim
+        field, blocks, k = (("x", self.blocks, k) if k < n else
+                            ("lambda", self.blocks, k - n) if k < 2 * n else
+                            ("mu", self.mu_blocks, k - 2 * n))
+        i = next(i for i, blk in enumerate(blocks) if k < blk.stop)
+        return f"agent {i + 1}, {field}_{k - blocks[i].start + 1}"
 
 
-def _gather_stage(kernel, x, lam, mu, n=0):
-    """The centralized stage evaluator: ``evaluate`` with every row's
-    payloads gathered from the payload table; the step index ``n`` is
-    not needed."""
-    return kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam))
+def _gather_stage(kernel, z, n=0):
+    """The centralized stage evaluator: the packed velocity at the packed
+    state ``z``, every row's payloads gathered from the state in one index
+    per array; the step index ``n`` is not needed."""
+    x, lam, mu = kernel.split(z)
+    return kernel.pack(kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam)))
 
 
 def _check_state(state, problem):
@@ -582,25 +648,38 @@ def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1) -> None:
         raise InvalidInputError(f"record_every must be an integer >= 1, got {record_every!r}")
 
 
+def _packed_state(state, problem) -> np.ndarray:
+    """The packed float state z = [x, lambda, mu] of a checked ``state``."""
+    return np.concatenate(_check_state(state, problem))
+
+
 def rhs(state: SolverState, problem: ProblemInstance):
-    """(dx, dlambda, dmu) of the flow at ``state``."""
+    """(dx, dlambda, dmu) of the flow at ``state``; dlambda is +0.0 off
+    the shared block."""
     kernel = problem.kernel
-    dz = kernel.packed(_gather_stage(kernel, *_check_state(state, problem)))
-    if not np.all(np.isfinite(dz)):
-        raise NumericalError(f"non-finite velocity at t={state.t}")
-    n = problem.total_dim
-    return dz[:n], dz[n : 2 * n], dz[2 * n :]
+    dz, _ = _gather_stage(kernel, _packed_state(state, problem))
+    finite = np.isfinite(dz)
+    if not finite.all():
+        where = kernel.locate(int(np.argmin(finite)))
+        raise NumericalError(f"non-finite velocity at t={state.t}: {where}")
+    dx, dlam_stay, dmu = kernel.split(dz)
+    dlam = np.zeros(problem.total_dim)
+    dlam[kernel.shared] = dlam_stay[kernel.shared]
+    return dx, dlam, dmu
 
 
-def _residuals(kernel, velocity) -> KKTResidual:
-    dz = kernel.packed(velocity)
-    n, gain = kernel.total_dim, kernel.gain
-    return KKTResidual(
-        stationarity=float(np.linalg.norm(dz[:n])) / (2.0 * gain),
-        consensus=float(np.linalg.norm(dz[n : 2 * n])),
-        complementarity=float(np.linalg.norm(dz[2 * n :])) / gain,
-        feasibility=float(np.linalg.norm(np.maximum(velocity[3], 0.0))),
-    )
+def _norm(v) -> float:
+    """``np.linalg.norm`` of a 1-D float array, bit for bit."""
+    return math.sqrt(v.dot(v))
+
+
+def _residual_norms(kernel, velocity):
+    """The four KKT residuals of a packed stage velocity (dz, g)."""
+    dz, g = velocity
+    dx, dlam, dmu = kernel.split(dz)
+    gain = kernel.gain
+    return (_norm(dx) / (2.0 * gain), _norm(dlam), _norm(dmu) / gain,
+            _norm(np.maximum(g, 0.0)))
 
 
 def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
@@ -612,57 +691,56 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
     part of g(x).
     """
     kernel = problem.kernel
-    return _residuals(kernel, _gather_stage(kernel, *_check_state(state, problem)))
+    velocity = _gather_stage(kernel, _packed_state(state, problem))
+    return KKTResidual(*_residual_norms(kernel, velocity))
 
 
 # -- stepping ----------------------------------------------------------------
 
 
 def _step(kernel, stage, rows, z, k1, n, t, h, method):
-    """One explicit step of step index ``n`` from ``z = (x, lambda, mu)`` at t.
+    """One explicit step of step index ``n`` from the packed state ``z`` at t.
 
-    ``stage(x, lam, mu, n)`` returns the kernel's velocity at a stage
-    state; ``k1`` is stage 1 when the caller has it, else None.  dlambda
-    moves only the shared block, so the other lambda entries keep their
-    bits.  A non-finite result raises ``NumericalError``; after that
+    ``stage(z, n)`` returns the packed velocity (dz, g) at a packed stage
+    state; ``k1`` is stage 1 when the caller has it, else None.  A stage
+    state is ``z + coef * dz``; the -0.0 that ``VelocityKernel.pack``
+    puts in the non-shared dlambda slots leaves those lambda entries
+    bit for bit.  A non-finite result raises ``NumericalError`` naming
+    the first non-finite entry and carrying the state at t; after that
     check each (AgentProblem, capture table) of ``rows``, one per kernel
-    row, snaps its kink coordinates.  Returns the new (x, lambda, mu).
+    row, snaps its kink coordinates.  Returns the new packed state.
     """
-    x, lam, mu = z
     if k1 is None:
-        k1 = stage(x, lam, mu, n)
-
-    def at(coef, k):
-        stage_lam = lam.copy()
-        stage_lam[kernel.shared] += coef * k[1]
-        return x + coef * k[0], stage_lam, mu + coef * k[2]
-
+        k1 = stage(z, n)
+    v1 = k1[0]
     if method == "euler":
-        new = at(h, k1)
+        new = z + h * v1
     else:
-        k2 = stage(*at(0.5 * h, k1), n)
-        k3 = stage(*at(0.5 * h, k2), n)
-        k4 = stage(*at(h, k3), n)
-        new = at(h / 6.0, [a + 2.0 * b + 2.0 * c + d
-                           for a, b, c, d in zip(k1[:3], k2[:3], k3[:3], k4[:3])])
-    if not np.isfinite(np.concatenate(new)).all():
-        raise NumericalError(f"non-finite state produced at t={t + h}")
-    new_x, _, new_mu = new
+        half = 0.5 * h
+        v2 = stage(z + half * v1, n)[0]
+        v3 = stage(z + half * v2, n)[0]
+        v4 = stage(z + h * v3, n)[0]
+        new = z + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+    finite = np.isfinite(new)
+    if not finite.all():
+        where = kernel.locate(int(np.argmin(finite)))
+        raise NumericalError(f"non-finite state produced at t={t + h}: {where}",
+                             state=SolverState(*kernel.split(z), t), t=t + h)
+    x, _, _ = kernel.split(z)
+    new_x, _, new_mu = kernel.split(new)
     for (agent, table), s, ms in zip(rows, kernel.blocks, kernel.mu_blocks):
         if table:
-            capture_agent_kinks(
-                agent, table, new_x[s], x[s], k1[0][s], new_mu[ms], h, kernel.gain
-            )
+            capture_agent_kinks(agent, table, new_x[s], x[s], v1[s], new_mu[ms], h, kernel.gain)
     return new
 
 
 def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "rk4") -> SolverState:
     """One fixed step of the flow (no kink capture; see ``integrate``)."""
     _check_settings(h, method)
-    z = _check_state(state, problem)
+    z = _packed_state(state, problem)
     kernel = problem.kernel
     new = _step(kernel, partial(_gather_stage, kernel), (), z, None, 0, state.t, h, method)
-    return SolverState(*new, state.t + h)
+    return SolverState(*kernel.split(new), state.t + h)
 
 
 def _snapped_coordinate_velocity(agent, xi, mi, local_k, gain):
@@ -705,77 +783,159 @@ def capture_agent_kinks(agent, table, x_block, x_prev_block, k1_block, mu_block,
     return changed
 
 
-@dataclass
-class Trajectory:
-    """Recorded run: states and diagnostics every ``record_every`` steps."""
+#: values a ``Trajectory`` block holds, which keeps every block small
+_BLOCK_VALUES = 1 << 14
 
-    times: list
-    states: list
-    residuals: list
-    objectives: list
-    box_violations: list
-    stop_reason: str
-    total_steps: int
-    wall_time: float
-    message_rounds: int = 0
-    message_count: int = 0
-    messages_per_step: int = 0
+
+class Trajectory:
+    """Recorded run: states and diagnostics every ``record_every`` steps.
+
+    The record is a list of float blocks of about ``_BLOCK_VALUES``
+    values.  A block row is one recorded step: the packed state
+    z = [x, lambda, mu], then t, the four residuals, the objective and
+    the box violation.  The driver writes z, t and the residuals; the
+    objective and box-violation columns are filled when a block is full
+    and when the run ends, one batched kernel call per block.
+    ``times``, ``states``, ``residuals``, ``objectives`` and
+    ``box_violations`` are read-only views that build their list on each
+    read: floats, ``SolverState``s (over one copy of each block, never
+    over the record itself) and ``KKTResidual``s.  The stop reason, step
+    count, wall time and message counts are set when the run ends.
+    """
+
+    def __init__(self, problem: ProblemInstance):
+        self._problem = problem
+        n, m = problem.total_dim, problem.multiplier_dim
+        self._width = w = 2 * n + m
+        self._t, self._res, self._obj, self._box = w, slice(w + 1, w + 5), w + 5, w + 6
+        self._per_block = max(1, _BLOCK_VALUES // (w + 7))
+        self._blocks = []
+        self._count = 0
+        self.stop_reason = ""
+        self.total_steps = 0
+        self.wall_time = 0.0
+        self.message_rounds = 0
+        self.message_count = 0
+        self.messages_per_step = 0
+
+    def _record(self, t, z, residuals):
+        """Append one row: packed state ``z`` at time t, and its residuals."""
+        k = self._count % self._per_block
+        if k == 0:
+            self._blocks.append(np.empty((self._per_block, self._width + 7)))
+        row = self._blocks[-1][k]
+        row[: self._width] = z
+        row[self._t : self._obj] = (t, *residuals)
+        self._count += 1
+        if k + 1 == self._per_block:
+            self._fill(self._blocks[-1])
+
+    def _finish(self):
+        """Fill the columns of the last block if the run ended inside it."""
+        rows = self._count % self._per_block
+        if rows:
+            self._fill(self._blocks[-1][:rows])
+
+    def _fill(self, rows):
+        """The objective and box-violation columns of ``rows``, each as
+        ``objective_value`` and ``box_violation`` compute them."""
+        kernel = self._problem.kernel
+        xs = rows[:, : self._problem.total_dim]
+        total = np.zeros(len(rows))
+        for values in kernel.objective_value_rows(xs).T:  # left to right from 0.0
+            total += values
+        rows[:, self._obj] = total
+        rows[:, self._box] = _box_violations(kernel, xs)
+
+    def _tables(self):
+        """The recorded rows, one array per block."""
+        for b, block in enumerate(self._blocks):
+            yield block[: min(self._per_block, self._count - b * self._per_block)]
+
+    def _column(self, c) -> np.ndarray:
+        return np.concatenate([rows[:, c] for rows in self._tables()])
+
+    def _states(self, rows) -> list:
+        z = rows[:, : self._width].copy()
+        n = self._problem.total_dim
+        return list(map(SolverState, z[:, :n], z[:, n : 2 * n], z[:, 2 * n :],
+                        rows[:, self._t].tolist()))
+
+    @property
+    def times(self) -> list:
+        return self._column(self._t).tolist()
+
+    @property
+    def states(self) -> list:
+        return [st for rows in self._tables() for st in self._states(rows)]
+
+    @property
+    def residuals(self) -> list:
+        return [KKTResidual(*r) for r in self._column(self._res).tolist()]
+
+    @property
+    def objectives(self) -> list:
+        return self._column(self._obj).tolist()
+
+    @property
+    def box_violations(self) -> list:
+        return self._column(self._box).tolist()
 
     @property
     def final(self) -> SolverState:
-        return self.states[-1]
+        return self._states(self._last())[0]
 
     @property
     def final_residual(self) -> KKTResidual:
-        return self.residuals[-1]
+        return KKTResidual(*self._last()[0, self._res].tolist())
+
+    def _last(self):
+        k = (self._count - 1) % self._per_block
+        return self._blocks[-1][k : k + 1]
 
 
 def _drive(problem, kernel, stage, rows, z, t0, h, method, t_max, kkt_tol, record_every):
-    """The driver loop of both execution modes, from ``z = (x, lambda, mu)`` at t0.
+    """The driver loop of both execution modes, from the packed state
+    ``z = [x, lambda, mu]`` at t0.
 
-    ``stage`` evaluates the velocity at a stage state and ``rows`` holds
-    the kink-capture data, both as ``_step`` takes them.  Every step
-    starts with stage 1 at the current state; it gives the residual that
-    stops the run and is reused by the step.  Arguments are checked by
-    the caller.
+    ``stage`` returns the packed velocity (dz, g) at a packed state and
+    ``rows`` holds the kink-capture data, both as ``_step`` takes them.
+    Every step starts with stage 1 at the current state; it gives the
+    residual that stops the run and is reused by the step.  A recorded
+    step writes z, t and the residuals into the trajectory's current
+    block.  The norms are ``sqrt(v.dot(v))``, which is what
+    ``np.linalg.norm`` computes.  Arguments are checked by the caller.
     """
-    times, states, residuals, objectives, violations = [], [], [], [], []
+    trajectory = Trajectory(problem)
     started = time.perf_counter()
     steps = 0
     while True:
         t = t0 + steps * h
-        k1 = stage(*z, steps)
-        res = _residuals(kernel, k1)
-        converged = res.max_component <= kkt_tol
+        k1 = stage(z, steps)
+        res = _residual_norms(kernel, k1)
+        converged = max(res) <= kkt_tol
         done = converged or t >= t_max - 1e-12
         if done or steps % record_every == 0:
-            times.append(t)
-            states.append(SolverState(*z, t))
-            residuals.append(res)
-            objectives.append(problem.objective_value(z[0]))
-            violations.append(problem.box_violation(z[0]))
+            trajectory._record(t, z, res)
         if done:
             break
         new = _step(kernel, stage, rows, z, k1, steps, t, h, method)
-        if np.linalg.norm(np.concatenate(new)) > DIVERGENCE_NORM:
+        if _norm(new) > DIVERGENCE_NORM:
+            where = kernel.locate(int(np.argmax(np.abs(new))))
             raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_NORM:g} at t={t + h}",
-                state=SolverState(*z, t),
+                f"state norm exceeded {DIVERGENCE_NORM:g} at t={t + h}: "
+                f"largest entry at {where}",
+                state=SolverState(*kernel.split(z), t),
                 t=t + h,
             )
         z = new
         steps += 1
 
-    return Trajectory(
-        times=times,
-        states=states,
-        residuals=residuals,
-        objectives=objectives,
-        box_violations=violations,
-        stop_reason="kkt_converged" if converged else "t_max",
-        total_steps=steps,
-        wall_time=time.perf_counter() - started,
-    )
+    trajectory._finish()
+    trajectory.stop_reason = "kkt_converged" if converged else "t_max"
+    trajectory.total_steps = steps
+    trajectory.wall_time = time.perf_counter() - started
+    return trajectory
 
 
 def integrate(
@@ -799,7 +959,7 @@ def integrate(
     """
     _check_settings(h, method, t_max, kkt_tol, record_every)
     state = init if init is not None else initial_state(problem, "zeros")
-    z = _check_state(state, problem)
+    z = _packed_state(state, problem)
     kernel = problem.kernel
     rows = tuple(zip(problem.agents, problem._capture_table)) if capture_kinks else ()
     return _drive(problem, kernel, partial(_gather_stage, kernel), rows, z, state.t,
@@ -908,7 +1068,8 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
     Columns: t, x_1..x_n, lambda_1..lambda_n, mu_1..mu_m, objective, the
     four residuals, and V when a reference state is supplied.  Floats are
     printed with 17 significant digits, so identical runs produce
-    byte-identical files.
+    byte-identical files.  The rows are formatted straight from the
+    trajectory's blocks.
     """
     n, m = problem.total_dim, problem.multiplier_dim
     header = (
@@ -919,18 +1080,18 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
         + ["objective", "res_stationarity", "res_consensus",
            "res_complementarity", "res_feasibility"]
     )
-    rows, states = len(trajectory.times), trajectory.states
-    columns = [np.array(trajectory.times, dtype=float)]
-    for name, width in (("x", n), ("lam", n), ("mu", m)):
-        columns.extend(np.array([getattr(st, name) for st in states],
-                                dtype=float).reshape(rows, width).T)
-    columns.append(np.array(trajectory.objectives, dtype=float))
-    columns.extend(np.array([res.as_tuple() for res in trajectory.residuals],
-                            dtype=float).reshape(rows, 4).T)
+    ref = None
     if reference is not None:
         header.append("V")
         ref = _lyapunov_reference(reference, problem, 1e-4)
-        columns.append(np.array([_lyapunov(st, ref, problem).total for st in states]))
+    w, t = trajectory._width, trajectory._t
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * len(header)) + "\n", columns)
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        for rows in trajectory._tables():
+            columns = [rows[:, t], *rows[:, :w].T, rows[:, trajectory._obj],
+                       *rows[:, trajectory._res].T]
+            if ref is not None:
+                columns.append(np.array([_lyapunov(st, ref, problem).total
+                                         for st in trajectory._states(rows)]))
+            _write_rows(fh, row, columns)

@@ -23,7 +23,16 @@ class ExpressionError(InvalidInputError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when a computation produces non-finite or unusable values."""
+    """Raised when a computation produces non-finite or unusable values.
+
+    A failure of a run carries the last finite state as ``state`` and the
+    time of the failed step as ``t``; both are None elsewhere.
+    """
+
+    def __init__(self, message, state=None, t=None):
+        super().__init__(message)
+        self.state = state
+        self.t = t
 
 
 class DivergenceError(NumericalError):
@@ -32,11 +41,6 @@ class DivergenceError(NumericalError):
     Carries the last finite state and its time so callers can inspect
     where the run went wrong.
     """
-
-    def __init__(self, message, state=None, t=None):
-        super().__init__(message)
-        self.state = state
-        self.t = t
 
 
 class ProtocolError(RuntimeError):

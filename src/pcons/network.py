@@ -34,8 +34,8 @@ from .dynamics import (
     Trajectory,
     VelocityKernel,
     _check_settings,
-    _check_state,
     _drive,
+    _packed_state,
     _step,
     _write_rows,
     initial_state,
@@ -264,6 +264,9 @@ class _Exchange:
     receiver's payloads are gathered from the senders' payload table.
     The table of step index ``n`` is recorded (when ``log`` is a
     ``MessageLog``) as round ``n``; ``sent`` counts the directed payloads.
+    A call is one exchange at (x, lambda, mu) and returns ``evaluate``'s
+    velocity; ``stage`` is the same exchange at a packed state, as the
+    stepper calls it.
     """
 
     def __init__(self, kernel, log):
@@ -276,6 +279,11 @@ class _Exchange:
             self.log.record(kernel.edges, n, px, pl)
         self.sent += len(kernel.edges)
         return kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
+
+    def stage(self, z, n):
+        """The packed velocity (dz, g) at the packed state ``z``, packed
+        by ``VelocityKernel.pack`` as the centralized gather packs it."""
+        return self.kernel.pack(self(*self.kernel.split(z), n))
 
 
 @contextmanager
@@ -313,11 +321,11 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
         raise ProtocolError(f"agents out of sync: round numbers {sorted(rounds)}")
     rnd = agents[0].round_index
     kernel = _stacked_kernel(agents)
-    z = tuple(np.concatenate([getattr(a, f) for a in agents]) for f in ("x", "lam", "mu"))
+    z = np.concatenate([getattr(a, f) for f in ("x", "lam", "mu") for a in agents])
     with _table_log(log) as table:
         exchange = _Exchange(kernel, table)
-        x, lam, mu = _step(kernel, exchange, _capture_rows(agents, capture), z, None,
-                           rnd, rnd * h, h, method)
+        x, lam, mu = kernel.split(_step(kernel, exchange.stage, _capture_rows(agents, capture),
+                                        z, None, rnd, rnd * h, h, method))
     for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
         agent.x, agent.lam, agent.mu = x[s], lam[s], mu[ms]
         agent.round_index += 1
@@ -347,13 +355,13 @@ def run_decentralized(
     """
     _check_settings(h, method, t_max, kkt_tol, record_every)
     state = init if init is not None else initial_state(problem, "zeros")
-    z = _check_state(state, problem)
+    z = _packed_state(state, problem)
     agents = build_agents(problem, state)
     kernel = _stacked_kernel(agents)
     with _table_log(message_log) as table:
         exchange = _Exchange(kernel, table)
-        trajectory = _drive(problem, kernel, exchange, _capture_rows(agents, capture_kinks), z,
-                            state.t, h, method, t_max, kkt_tol, record_every)
+        trajectory = _drive(problem, kernel, exchange.stage, _capture_rows(agents, capture_kinks),
+                            z, state.t, h, method, t_max, kkt_tol, record_every)
     trajectory.message_rounds = trajectory.total_steps
     trajectory.message_count = exchange.sent
     trajectory.messages_per_step = len(kernel.edges) * (1 if method == "euler" else 4)

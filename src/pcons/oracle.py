@@ -18,6 +18,7 @@ checked for every agent before any agent is evaluated.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral
 
 import numpy as np
@@ -120,12 +121,22 @@ def brute_force_solve(problem: ProblemInstance, grid: float, refine: int = 0):
     most 4.  Returns ``(point, value)`` with ``point`` the stacked
     full-dimensional minimizer found.  ``refine`` adds rounds of local
     10x-finer search around the incumbent.  ``grid`` must be finite and
-    positive and ``refine`` an integer >= 0.
+    positive and ``refine`` an integer >= 0 whose last step is still a
+    positive normal float.
     """
     if not 0.0 < grid < np.inf:
         raise InvalidInputError(f"grid step must be finite and positive, got {grid}")
     if isinstance(refine, bool) or not isinstance(refine, Integral) or refine < 0:
         raise InvalidInputError(f"refine must be an integer >= 0, got {refine!r}")
+    # the rounds' steps, checked up front: at most ~620 divisions underflow any grid
+    step = grid
+    for _ in range(refine):
+        step /= 10.0
+        if step < sys.float_info.min:
+            raise InvalidInputError(
+                f"refine {refine} is too deep for grid {grid}: it refines the step to "
+                f"{step!r}, below the smallest normal float {sys.float_info.min!r}"
+            )
     depth = problem.depth
     reduced = depth + sum(a.dim - depth for a in problem.agents)
     if reduced > 4:

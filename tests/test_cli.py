@@ -81,6 +81,12 @@ class TestSolveCommand:
         digest = hashlib.sha256((out / "messages.csv").read_bytes()).hexdigest()
         assert digest == "e5549694a2aba4f35e454c0fc0a8829abe0dff4bcd598cca529bb6665196ec6b"
 
+    def test_decentralized_trajectory_reference_hash(self, tmp_path):
+        out = tmp_path / "dec"
+        assert main(["solve", EX2, "--decentralized", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == "fcef8f9ccfd3ad0ba911a1e0048f9875419f41d8717a5113b87c897caff1062b"
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["solve", QUAD, "--out", str(a)]) == 0
@@ -150,6 +156,12 @@ class TestOracleCommand:
         assert main(["oracle", EX2, *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err
+
+    def test_oracle_rejects_refine_past_the_normal_floats(self, capsys, recwarn):
+        assert main(["oracle", EX2, "--grid", "1e-2", "--refine", "330"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: refine 330 is too deep for grid 0.01")
+        assert not recwarn.list
 
 
 class TestErrorPaths:

@@ -427,3 +427,14 @@ class TestObjectiveValue:
         p = ProblemInstance(agents, lap, 1)
         assert p.kernel.objective_values(np.zeros(4)).tolist() == list(values)
         assert p.objective_value(np.zeros(4)) == 1.0
+
+
+EXAMPLE2_TRAJECTORY_SHA256 = "fcef8f9ccfd3ad0ba911a1e0048f9875419f41d8717a5113b87c897caff1062b"
+
+
+def test_example2_trajectory_csv_reference_hash(tmp_path, example2, example2_run):
+    import hashlib
+
+    path = tmp_path / "trajectory.csv"
+    pcons.write_trajectory_csv(example2_run, path, example2.problem)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXAMPLE2_TRAJECTORY_SHA256

@@ -468,3 +468,15 @@ def test_refine_must_be_a_nonnegative_integer(example2, refine):
 def test_axis_too_fine_is_refused_before_allocation(example2):
     with pytest.raises(InvalidInputError, match="grid too fine"):
         brute_force_solve(example2.problem, grid=1e-300)
+
+
+def test_refine_past_the_normal_floats_is_refused_up_front(example2, recwarn):
+    with mock.patch.object(oracle, "_search", side_effect=AssertionError("searched")):
+        with pytest.raises(InvalidInputError, match=r"refine 330 .* grid 0\.01"):
+            brute_force_solve(example2.problem, grid=1e-2, refine=330)
+    assert not recwarn.list
+
+
+def test_refine_that_stays_normal_still_runs(example2):
+    _, value = brute_force_solve(example2.problem, grid=1e-2, refine=300)
+    assert value == pytest.approx(0.75, abs=1e-9)
