@@ -74,6 +74,14 @@ def _build_parser():
     return parser
 
 
+def _parsed(kind, text, what):
+    """``kind(text)`` for a string read from outside a problem file."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInputError(f"{what}, got {text.strip()!r}") from None
+
+
 def _fmt(v) -> str:
     return f"{v:.17g}"
 
@@ -86,7 +94,7 @@ def _resolve_init(args, problem, file_init):
     if args.init == "random":
         seed = args.seed
         if seed is None:
-            seed = int(os.environ.get("PCONS_SEED", "0"))
+            seed = _parsed(int, os.environ.get("PCONS_SEED", "0"), "PCONS_SEED must be an integer")
         return initial_state(problem, "random", rng=np.random.default_rng(seed))
     with open(args.init, "r", encoding="utf-8") as fh:
         block = json.load(fh)
@@ -183,7 +191,7 @@ def cmd_solve(args) -> int:
 def _read_summary_objective(path) -> float:
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("objective:"):
-            return float(line.split(":", 1)[1])
+            return _parsed(float, line.split(":", 1)[1], f"'objective:' in {path} must be a number")
     raise InvalidInputError(f"no 'objective:' line found in {path}")
 
 

@@ -143,11 +143,6 @@ class ConvexExpr:
         for name in ("lin", "quad_idx", "quad_center", "quad_weight",
                      "abs_idx", "abs_center", "abs_weight", "exp_idx", "exp_weight"):
             getattr(self, name).flags.writeable = False
-        # duplicate coordinate indices (several atoms on one coordinate)
-        # force the slower scatter-add path in the subgradient routines
-        for fam in ("quad", "abs", "exp"):
-            idx = getattr(self, f"{fam}_idx")
-            object.__setattr__(self, f"_{fam}_unique", len(set(idx.tolist())) == len(idx))
 
     # -- construction ----------------------------------------------------
 
@@ -202,31 +197,19 @@ class ConvexExpr:
             total = total + np.exp(pts[..., self.exp_idx]) @ self.exp_weight
         return total
 
-    @staticmethod
-    def _scatter_add(target, idx, values, unique):
-        if unique:
-            target[idx] += values
-        else:
-            np.add.at(target, idx, values)
-
     def subgradient(self, x) -> np.ndarray:
         """One deterministic element of the subdifferential at ``x``."""
         x = self._check_arity(x)
         g = self.lin.copy()
         if len(self.quad_idx):
-            self._scatter_add(
-                g, self.quad_idx,
-                2.0 * self.quad_weight * (x[self.quad_idx] - self.quad_center),
-                self._quad_unique,
-            )
+            d = x[self.quad_idx] - self.quad_center
+            np.add.at(g, self.quad_idx, 2.0 * self.quad_weight * d)
         if len(self.abs_idx):
             d = x[self.abs_idx] - self.abs_center
             s = np.where(np.abs(d) < KINK_TOLERANCE, 0.0, np.sign(d))
-            self._scatter_add(g, self.abs_idx, self.abs_weight * s, self._abs_unique)
+            np.add.at(g, self.abs_idx, self.abs_weight * s)
         if len(self.exp_idx):
-            self._scatter_add(
-                g, self.exp_idx, self.exp_weight * np.exp(x[self.exp_idx]), self._exp_unique
-            )
+            np.add.at(g, self.exp_idx, self.exp_weight * np.exp(x[self.exp_idx]))
         return g
 
     def subgradient_interval(self, x):
@@ -239,27 +222,18 @@ class ConvexExpr:
         x = self._check_arity(x)
         lo = self.lin.copy()
         if len(self.quad_idx):
-            self._scatter_add(
-                lo, self.quad_idx,
-                2.0 * self.quad_weight * (x[self.quad_idx] - self.quad_center),
-                self._quad_unique,
-            )
+            d = x[self.quad_idx] - self.quad_center
+            np.add.at(lo, self.quad_idx, 2.0 * self.quad_weight * d)
         if len(self.exp_idx):
-            self._scatter_add(
-                lo, self.exp_idx, self.exp_weight * np.exp(x[self.exp_idx]), self._exp_unique
-            )
+            np.add.at(lo, self.exp_idx, self.exp_weight * np.exp(x[self.exp_idx]))
         if not len(self.abs_idx):
             return lo, lo.copy()
         hi = lo.copy()
         d = x[self.abs_idx] - self.abs_center
         at_kink = np.abs(d) < KINK_TOLERANCE
         s = np.where(at_kink, 0.0, np.sign(d))
-        self._scatter_add(
-            lo, self.abs_idx, self.abs_weight * np.where(at_kink, -1.0, s), self._abs_unique
-        )
-        self._scatter_add(
-            hi, self.abs_idx, self.abs_weight * np.where(at_kink, 1.0, s), self._abs_unique
-        )
+        np.add.at(lo, self.abs_idx, self.abs_weight * np.where(at_kink, -1.0, s))
+        np.add.at(hi, self.abs_idx, self.abs_weight * np.where(at_kink, 1.0, s))
         return lo, hi
 
     # -- algebra ---------------------------------------------------------

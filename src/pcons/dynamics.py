@@ -40,12 +40,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from numbers import Integral
 
 import numpy as np
 
 from .convex import KINK_TOLERANCE, Box, ConstraintMap, ConvexExpr, no_constraints
-from .errors import DivergenceError, InvalidInputError, NumericalError
+from .errors import DivergenceError, InvalidInputError, NumericalError, _integer, _positive
 from .pcmatrix import (
     AgentDims,
     PartialConsensusMatrix,
@@ -633,19 +632,18 @@ def _check_state(state, problem):
     return tuple(z)
 
 
-def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1) -> None:
+def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1):
     """Reject a step size, method or stopping rule that cannot be run.
 
-    ``h``, ``t_max`` and ``kkt_tol`` must be finite and positive (NaN
-    fails the comparison) and ``record_every`` an integer >= 1.
+    ``h``, ``t_max`` and ``kkt_tol`` must be finite positive reals and
+    ``record_every`` an integer >= 1; booleans are neither.  Returns
+    (h, t_max, kkt_tol) as floats.
     """
-    for name, value in (("h", h), ("t_max", t_max), ("kkt_tol", kkt_tol)):
-        if not 0.0 < value < np.inf:
-            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    floats = _positive(h, "h"), _positive(t_max, "t_max"), _positive(kkt_tol, "kkt_tol")
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    if isinstance(record_every, bool) or not isinstance(record_every, Integral) or record_every < 1:
-        raise InvalidInputError(f"record_every must be an integer >= 1, got {record_every!r}")
+    _integer(record_every, "record_every", 1)
+    return floats
 
 
 def _packed_state(state, problem) -> np.ndarray:
@@ -814,7 +812,6 @@ class Trajectory:
         self.stop_reason = ""
         self.total_steps = 0
         self.wall_time = 0.0
-        self.message_rounds = 0
         self.message_count = 0
         self.messages_per_step = 0
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two scalar checks
+that every entry point applies to a value from outside the program."""
+import math
+from numbers import Integral, Real
 
 
 class InvalidInputError(ValueError):
@@ -45,3 +48,19 @@ class DivergenceError(NumericalError):
 
 class ProtocolError(RuntimeError):
     """Raised when the synchronous message protocol is violated."""
+
+
+def _positive(value, what) -> float:
+    """``value`` as a float; it must be a finite positive real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{what} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what, least, error=InvalidInputError) -> int:
+    """``value`` as an int; it must be an integer of at least ``least``, not
+    a bool or a float such as 2.0.  Raises ``error``, which a problem file
+    sets to ``ExpressionError``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise error(f"{what} must be an integer >= {least} (a whole number), got {value!r}")
+    return int(value)

@@ -362,7 +362,6 @@ def run_decentralized(
         exchange = _Exchange(kernel, table)
         trajectory = _drive(problem, kernel, exchange.stage, _capture_rows(agents, capture_kinks),
                             z, state.t, h, method, t_max, kkt_tol, record_every)
-    trajectory.message_rounds = trajectory.total_steps
     trajectory.message_count = exchange.sent
     trajectory.messages_per_step = len(kernel.edges) * (1 if method == "euler" else 4)
     return trajectory

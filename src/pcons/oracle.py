@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import sys
-from numbers import Integral
 
 import numpy as np
 
 from .dynamics import ProblemInstance
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer, _positive
 
 #: refuse grids whose largest per-agent mesh would exceed this many points
 MAX_GRID_POINTS = 50_000_000
@@ -48,6 +47,11 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     if hi - pts[-1] > 1e-12 * max(1.0, abs(hi)):
         pts = np.append(pts, hi)
     return pts
+
+
+def _window(lo: float, hi: float, center: float, reach: float, step: float) -> np.ndarray:
+    """The axis of ``step`` over the part of [lo, hi] within ``reach`` of ``center``."""
+    return _axis(max(lo, center - reach), min(hi, center + reach), step)
 
 
 def _mesh(axes) -> np.ndarray:
@@ -124,18 +128,17 @@ def brute_force_solve(problem: ProblemInstance, grid: float, refine: int = 0):
     positive and ``refine`` an integer >= 0 whose last step is still a
     positive normal float.
     """
-    if not 0.0 < grid < np.inf:
-        raise InvalidInputError(f"grid step must be finite and positive, got {grid}")
-    if isinstance(refine, bool) or not isinstance(refine, Integral) or refine < 0:
-        raise InvalidInputError(f"refine must be an integer >= 0, got {refine!r}")
-    # the rounds' steps, checked up front: at most ~620 divisions underflow any grid
-    step = grid
+    grid = _positive(grid, "grid step")
+    refine = _integer(refine, "refine", 0)
+    # each round's step, by repeated division and checked up front: at
+    # most ~620 divisions underflow any grid
+    steps = [grid]
     for _ in range(refine):
-        step /= 10.0
-        if step < sys.float_info.min:
+        steps.append(steps[-1] / 10.0)
+        if steps[-1] < sys.float_info.min:
             raise InvalidInputError(
                 f"refine {refine} is too deep for grid {grid}: it refines the step to "
-                f"{step!r}, below the smallest normal float {sys.float_info.min!r}"
+                f"{steps[-1]!r}, below the smallest normal float {sys.float_info.min!r}"
             )
     depth = problem.depth
     reduced = depth + sum(a.dim - depth for a in problem.agents)
@@ -148,37 +151,20 @@ def brute_force_solve(problem: ProblemInstance, grid: float, refine: int = 0):
             raise InvalidInputError("brute force needs bounded boxes")
 
     lo_s, hi_s = _shared_bounds(problem)
-    shared_axes = [_axis(lo_s[k], hi_s[k], grid) for k in range(depth)]
-    free_axes_per_agent = [
-        [_axis(a.box.lower[k], a.box.upper[k], grid) for k in range(depth, a.dim)]
-        for a in problem.agents
-    ]
-    found = _search(problem, shared_axes, free_axes_per_agent)
-    if found is None:
-        raise InvalidInputError("no feasible grid point; check the constraints")
-    point, value = found
-
-    step = grid
-    for _ in range(refine):
-        step /= 10.0
-        shared_axes = [
-            _axis(max(lo_s[k], point[k] - 10 * step), min(hi_s[k], point[k] + 10 * step), step)
-            for k in range(depth)
+    # round 0 scans the whole box (an infinite reach around any point),
+    # each later round the window of 10 steps around the incumbent
+    point, value = np.zeros(problem.total_dim), np.inf
+    for r, step in enumerate(steps):
+        reach = 10 * step if r else np.inf
+        shared_axes = [_window(lo_s[k], hi_s[k], point[k], reach, step) for k in range(depth)]
+        free_axes_per_agent = [
+            [_window(a.box.lower[k], a.box.upper[k], point[problem.block(i)][k], reach, step)
+             for k in range(depth, a.dim)]
+            for i, a in enumerate(problem.agents)
         ]
-        free_axes_per_agent = []
-        for i, a in enumerate(problem.agents):
-            blk = point[problem.block(i)]
-            free_axes_per_agent.append(
-                [
-                    _axis(
-                        max(a.box.lower[k], blk[k] - 10 * step),
-                        min(a.box.upper[k], blk[k] + 10 * step),
-                        step,
-                    )
-                    for k in range(depth, a.dim)
-                ]
-            )
         found = _search(problem, shared_axes, free_axes_per_agent)
+        if found is None and r == 0:
+            raise InvalidInputError("no feasible grid point; check the constraints")
         if found is not None and found[1] <= value:
             point, value = found
     return point, value

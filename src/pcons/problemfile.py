@@ -18,7 +18,13 @@ A problem file is a JSON object::
 
 ``solver`` and ``init`` are optional, as are per-agent ``objective``
 (defaults to 0), ``constraints`` and ``box`` (defaults to the whole
-space; box entries may be null for an unbounded side).
+space; box entries may be null for an unbounded side).  Every value is
+checked once, on read: objects by one key check, numbers and arrays of
+numbers by one reader that rejects booleans, strings, nulls and ragged
+rows instead of converting them, ``dim`` and ``consensus_depth`` as
+whole numbers, and the ``solver`` block by the settings check of
+``integrate``, so a bad value in the file is an error even when the
+command line overrides it.
 
 Expression strings use variables x1..x{dim} of the owning agent,
 numeric literals, ``+``, ``-``, ``*`` by constants, ``abs(...)``,
@@ -34,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from numbers import Integral
+from itertools import chain
 
 import numpy as np
 
@@ -49,8 +55,8 @@ from .convex import (
     no_constraints,
     whole_space,
 )
-from .dynamics import AgentProblem, ProblemInstance, SolverState
-from .errors import ConvexityError, ExpressionError, InvalidInputError
+from .dynamics import AgentProblem, ProblemInstance, SolverState, _check_settings
+from .errors import ConvexityError, ExpressionError, InvalidInputError, _integer
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -304,116 +310,109 @@ class LoadedProblem:
     init: SolverState = None
 
 
-def _bound(v, default):
-    if v is None:
-        return default
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return np.inf
-        if s in ("-inf", "-infinity"):
-            return -np.inf
-        raise ExpressionError(f"bad box bound {v!r}")
-    return float(v)
+def _object(value, what, required=(), optional=()) -> dict:
+    """``value``, checked to be a JSON object with every ``required`` key
+    and no key outside ``required`` and ``optional``."""
+    if not isinstance(value, dict):
+        raise ExpressionError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in value:
+            raise ExpressionError(f"{what} is missing {key!r}")
+    unknown = set(value) - set(required) - set(optional)
+    if unknown:
+        raise ExpressionError(f"{what} has unknown keys {sorted(unknown)}")
+    return value
 
 
-def _whole(value, what) -> int:
-    """A whole JSON integer; a float (even 2.0) or a boolean is an error."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ExpressionError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
+def _array(value, what) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ExpressionError(f"{what} must be a JSON array")
+    return value
+
+
+def _numbers(value, what, ndim=0) -> np.ndarray:
+    """A JSON number (``ndim`` 0) or ``ndim``-deep array of numbers, as floats.
+
+    Booleans, strings, nulls and ragged rows are errors, not converted.
+    NaN and infinity pass, for the checks that know what they mean.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.ndim == ndim and arr.dtype.kind in "iuf":
+        # np.asarray([1, True]) is an int array: look for the booleans too
+        flat = [value]
+        for _ in range(ndim):
+            flat = chain.from_iterable(flat)
+        if bool not in set(map(type, flat)):
+            return arr.astype(float, copy=False)
+    kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
+    raise ExpressionError(f"{what} must be {kind}" + (f", got {value!r}" if ndim == 0 else ""))
+
+
+def _expression(text, dim, what) -> ConvexExpr:
+    if not isinstance(text, str):
+        raise ExpressionError(f"{what} must be an expression string, got {text!r}")
+    return parse_expression(text, dim)
 
 
 def _parse_agent(entry, index):
     where = f"agents[{index}]"
-    if not isinstance(entry, dict):
-        raise ExpressionError(f"{where} must be an object")
-    if "dim" not in entry:
-        raise ExpressionError(f"{where} is missing 'dim'")
-    dim = _whole(entry["dim"], f"{where}.dim")
-    if dim < 1:
-        raise ExpressionError(f"{where}.dim must be >= 1")
-    known = {"dim", "objective", "constraints", "box"}
-    unknown = set(entry) - known
-    if unknown:
-        raise ExpressionError(f"{where} has unknown keys {sorted(unknown)}")
-    objective = parse_expression(str(entry.get("objective", "0")), dim)
-    rows = entry.get("constraints", [])
+    _object(entry, where, ("dim",), ("objective", "constraints", "box"))
+    dim = _integer(entry["dim"], f"{where}.dim", 1, ExpressionError)
+    objective = _expression(entry.get("objective", "0"), dim, f"{where}.objective")
+    rows = _array(entry.get("constraints", []), f"{where}.constraints")
     constraints = (
-        ConstraintMap(tuple(parse_expression(str(r), dim) for r in rows))
+        ConstraintMap(tuple(_expression(r, dim, f"{where}.constraints") for r in rows))
         if rows
         else no_constraints()
     )
-    if "box" in entry and entry["box"] is not None:
-        pairs = entry["box"]
-        if len(pairs) != dim:
-            raise ExpressionError(
-                f"{where}.box has {len(pairs)} pairs for dimension {dim}"
-            )
-        if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs):
-            raise ExpressionError(f"{where}.box entries must be [lower, upper] pairs")
-        lower = np.array([_bound(p[0], -np.inf) for p in pairs])
-        upper = np.array([_bound(p[1], np.inf) for p in pairs])
-        box = Box(lower, upper)
-    else:
-        box = whole_space(dim)
-    return AgentProblem(objective=objective, constraints=constraints, box=box)
+    if entry.get("box") is None:
+        return AgentProblem(objective=objective, constraints=constraints, box=whole_space(dim))
+    pairs = _array(entry["box"], f"{where}.box")
+    if len(pairs) != dim:
+        raise ExpressionError(f"{where}.box has {len(pairs)} pairs for dimension {dim}")
+    if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs):
+        raise ExpressionError(f"{where}.box entries must be [lower, upper] pairs")
+    bounds = [[side if v is None else _numbers(v, f"{where}.box bound")
+               for v, side in zip(p, (-np.inf, np.inf))] for p in pairs]
+    lower, upper = np.array(bounds).T.copy()
+    return AgentProblem(objective=objective, constraints=constraints, box=Box(lower, upper))
 
 
 def parse_problem_dict(doc: dict, slater_probe: bool = True) -> LoadedProblem:
-    if not isinstance(doc, dict):
-        raise ExpressionError("problem file must contain a JSON object")
-    for key in ("agents", "laplacian", "consensus_depth"):
-        if key not in doc:
-            raise ExpressionError(f"problem file is missing {key!r}")
-    unknown = set(doc) - {"agents", "laplacian", "consensus_depth", "solver", "init"}
-    if unknown:
-        raise ExpressionError(f"problem file has unknown keys {sorted(unknown)}")
-    agents = [_parse_agent(a, i) for i, a in enumerate(doc["agents"])]
+    """A checked problem from the object a problem file holds."""
+    _object(doc, "problem file", ("agents", "laplacian", "consensus_depth"), ("solver", "init"))
+    agents = [_parse_agent(a, i) for i, a in enumerate(_array(doc["agents"], "agents"))]
     problem = ProblemInstance(
         agents,
-        np.asarray(doc["laplacian"], dtype=float),
-        _whole(doc["consensus_depth"], "consensus_depth"),
+        _numbers(doc["laplacian"], "laplacian", 2),
+        _integer(doc["consensus_depth"], "consensus_depth", 1, ExpressionError),
         slater_probe=slater_probe,
     )
-
-    settings = SolverSettings()
-    if "solver" in doc and doc["solver"] is not None:
-        block = doc["solver"]
-        unknown = set(block) - {"h", "method", "t_max", "kkt_tol"}
-        if unknown:
-            raise ExpressionError(f"solver block has unknown keys {sorted(unknown)}")
-        settings = SolverSettings(
-            h=float(block.get("h", settings.h)),
-            method=str(block.get("method", settings.method)),
-            t_max=float(block.get("t_max", settings.t_max)),
-            kkt_tol=float(block.get("kkt_tol", settings.kkt_tol)),
-        )
-
-    init = None
-    if "init" in doc and doc["init"] is not None:
-        init = _parse_init(doc["init"], problem)
+    solver = doc.get("solver")
+    keys = SolverSettings.__dataclass_fields__
+    settings = SolverSettings(**_object({} if solver is None else solver, "solver block", (), keys))
+    # checked on read, even where a command-line flag overrides the value
+    settings.h, settings.t_max, settings.kkt_tol = _check_settings(
+        settings.h, settings.method, settings.t_max, settings.kkt_tol
+    )
+    init = None if doc.get("init") is None else _parse_init(doc["init"], problem)
     return LoadedProblem(problem=problem, settings=settings, init=init)
 
 
 def _parse_init(block, problem) -> SolverState:
     """An initial state from an {x, lambda, mu} object; missing arrays are zeros."""
-    if not isinstance(block, dict):
-        raise ExpressionError("init must be an object with x, lambda and mu arrays")
-    unknown = set(block) - {"x", "lambda", "mu"}
-    if unknown:
-        raise ExpressionError(f"init block has unknown keys {sorted(unknown)}")
-    n, m = problem.total_dim, problem.multiplier_dim
-    try:
-        x = np.asarray(block.get("x", np.zeros(n)), dtype=float)
-        lam = np.asarray(block.get("lambda", np.zeros(n)), dtype=float)
-        mu = np.asarray(block.get("mu", np.zeros(m)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ExpressionError(f"init arrays must hold numbers: {exc}") from exc
-    for name, arr, want in (("x", x, n), ("lambda", lam, n), ("mu", mu, m)):
+    _object(block, "init block", (), ("x", "lambda", "mu"))
+    sizes = {"x": problem.total_dim, "lambda": problem.total_dim, "mu": problem.multiplier_dim}
+    arrays = []
+    for name, want in sizes.items():
+        arr = _numbers(block[name], f"init.{name}", 1) if name in block else np.zeros(want)
         if arr.shape != (want,):
             raise ExpressionError(f"init.{name} must have length {want}")
-    return SolverState(x, lam, mu, 0.0)
+        arrays.append(arr)
+    return SolverState(*arrays, 0.0)
 
 
 def parse_problem(path, slater_probe: bool = True) -> LoadedProblem:

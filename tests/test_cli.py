@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, files, determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from pcons.cli import main
 
 EX2 = str(pcons.fixture_path("example2.json"))
 QUAD = str(pcons.fixture_path("single_quadratic.json"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _summary(path):
@@ -218,6 +223,30 @@ class TestErrorPaths:
         init.write_text('{"x": [1.5, NaN, 1.5, 1.5, 1.5]}', encoding="utf-8")
         assert main(["solve", EX2, "--out", str(tmp_path / "run"), "--init", str(init)]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_integer_seed_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PCONS_SEED", "abc")
+        assert main(["solve", EX2, "--out", str(tmp_path / "run"), "--init", "random"]) == 1
+        assert capsys.readouterr().err.startswith("error: PCONS_SEED must be an integer")
+
+    def test_compare_summary_without_a_number(self, tmp_path, capsys):
+        summary = tmp_path / "summary.txt"
+        summary.write_text("objective: abc\n", encoding="utf-8")
+        assert main(["oracle", EX2, "--grid", "0.01", "--compare", str(summary)]) == 1
+        assert "error: 'objective:' in" in capsys.readouterr().err
+
+    def test_module_entry_point_reports_a_malformed_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"agents": 5, "laplacian": [[0]], "consensus_depth": 1}),
+                        encoding="utf-8")
+        pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-m", "pcons.cli", "solve", str(path), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
     def test_non_finite_settings(self, tmp_path, capsys):
         for flag in ("--h", "--t-max", "--kkt-tol"):

@@ -416,6 +416,10 @@ class TestSettingsValidation:
             with pytest.raises(InvalidInputError, match="h must be finite and positive"):
                 step(s, p, h, "euler")
 
+    def test_boolean_step_is_not_one(self):
+        with pytest.raises(InvalidInputError, match="h must be finite and positive"):
+            integrate(single_agent_problem(), **{**self.GOOD, "h": True})
+
 
 class TestObjectiveValue:
     def test_agents_are_added_left_to_right_from_zero(self):

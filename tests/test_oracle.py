@@ -459,6 +459,11 @@ def test_grid_must_be_finite_and_positive(example2, grid):
         brute_force_solve(example2.problem, grid=grid)
 
 
+def test_boolean_grid_is_not_one(example2):
+    with pytest.raises(InvalidInputError, match="grid step must be finite and positive"):
+        brute_force_solve(example2.problem, grid=True)
+
+
 @pytest.mark.parametrize("refine", [-3, -1, 1.5, True, "2"])
 def test_refine_must_be_a_nonnegative_integer(example2, refine):
     with pytest.raises(InvalidInputError, match="refine"):

@@ -7,6 +7,7 @@ import pytest
 
 import pcons
 from pcons import convex
+from pcons.cli import main
 from pcons.errors import ExpressionError, InvalidInputError
 from pcons.problemfile import (
     format_expression,
@@ -234,3 +235,62 @@ class TestProblemFiles:
     def test_unknown_fixture(self):
         with pytest.raises(InvalidInputError):
             pcons.fixture_path("nope.json")
+
+
+def _two_agents():
+    return {
+        "agents": [
+            {"dim": 1, "objective": "(x1 - 1)^2", "constraints": ["x1 - 2"], "box": [[0, 2]]},
+            {"dim": 1, "objective": "abs(x1)"},
+        ],
+        "laplacian": [[1, -1], [-1, 1]],
+        "consensus_depth": 1,
+        "solver": {"h": 0.01},
+        "init": {"x": [0.5, 0.5]},
+    }
+
+
+# (path into the document, value put there): each makes a file that must be
+# rejected, not read as a number or a container it is not
+MALFORMED = {
+    "solver h true": (("solver", "h"), True),
+    "solver h string number": (("solver", "h"), "0.01"),
+    "solver h string": (("solver", "h"), "abc"),
+    "solver h array": (("solver", "h"), [1]),
+    "solver a number": (("solver",), 5),
+    "agents a number": (("agents",), 5),
+    "constraints a string": (("agents", 0, "constraints"), "0"),
+    "box bound true": (("agents", 0, "box", 0, 0), True),
+    "box bound array": (("agents", 0, "box", 0, 0), [1]),
+    "laplacian of strings": (("laplacian",), [["1", "-1"], ["-1", "1"]]),
+    "laplacian ragged": (("laplacian",), [[1, -1], [-1]]),
+    "laplacian with a boolean": (("laplacian", 1, 1), True),
+    "init x of strings": (("init", "x"), ["0.5", "0.5"]),
+    "init x of booleans": (("init", "x"), [True, False]),
+}
+
+
+def _malformed(path, value):
+    doc = _two_agents()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def test_the_well_formed_document_parses():
+    loaded = parse_problem_dict(_two_agents(), slater_probe=False)
+    assert loaded.settings.h == 0.01 and loaded.init.x.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_value_is_rejected(case, tmp_path, capsys):
+    doc = _malformed(*MALFORMED[case])
+    with pytest.raises(InvalidInputError):
+        parse_problem_dict(doc, slater_probe=False)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
