@@ -125,7 +125,7 @@ def _write_summary(path, problem, trajectory, mode, method, h):
         f"res_consensus: {_fmt(res.consensus)}",
         f"res_complementarity: {_fmt(res.complementarity)}",
         f"res_feasibility: {_fmt(res.feasibility)}",
-        f"box_violation: {_fmt(trajectory.box_violations[-1])}",
+        f"box_violation: {_fmt(problem.box_violation(final.x))}",
         "x: " + " ".join(_fmt(v) for v in final.x),
         "lambda: " + " ".join(_fmt(v) for v in final.lam),
         "mu: " + " ".join(_fmt(v) for v in final.mu),
@@ -197,14 +197,14 @@ def _read_summary_objective(path) -> float:
 
 def cmd_oracle(args) -> int:
     loaded = parse_problem(args.problem)
+    # a bad summary is reported before the search, not after it
+    solver_value = None if args.compare is None else _read_summary_objective(args.compare)
     point, value = brute_force_solve(loaded.problem, grid=args.grid, refine=args.refine)
     print(f"oracle value: {_fmt(value)}")
     print("oracle point: " + " ".join(_fmt(v) for v in point))
-    if args.compare is not None:
-        solver_value = _read_summary_objective(args.compare)
-        gap = solver_value - value
+    if solver_value is not None:
         print(f"solver objective: {_fmt(solver_value)}")
-        print(f"gap (solver - oracle): {_fmt(gap)}")
+        print(f"gap (solver - oracle): {_fmt(solver_value - value)}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityError, InvalidInputError
+from .errors import ConvexityError, InvalidInputError, _integer
 
 #: a coordinate counts as sitting on an absolute-value kink below this distance
 KINK_TOLERANCE = 1e-12
@@ -297,7 +297,7 @@ def affine_sum(expr: ConvexExpr, const: float) -> ConvexExpr:
 
 
 def _atom(dim, family, coord, center, weight, const=0.0) -> ConvexExpr:
-    dim, coord = int(dim), int(coord)
+    dim, coord = _integer(dim, "dim", 1), _integer(coord, "coord", 0)
     if not 0 <= coord < dim:
         raise InvalidInputError(f"coordinate {coord} outside 0..{dim - 1}")
     if weight < 0:

@@ -96,12 +96,12 @@ class ProblemInstance:
     Construction normalizes the Laplacian, builds the coupling matrix and
     the gain, and precomputes the per-agent block layout.  The velocity
     kernel is compiled on first use (``kernel``), so parsing and the
-    oracle never pay for it.  ``slater_probe=True`` additionally samples the
-    feasible boxes looking for a strictly feasible point and warns (never
-    errors) when none is found.
+    oracle never pay for it.  ``slater_probe=True`` additionally samples
+    each agent's box on its own for a strictly feasible interior point and
+    warns (never errors), naming every agent that has none.
     """
 
-    def __init__(self, agents, laplacian, depth: int, slater_probe: bool = False, rng=None):
+    def __init__(self, agents, laplacian, depth: int, slater_probe: bool = False):
         self.agents = tuple(agents)
         if not self.agents:
             raise InvalidInputError("a problem needs at least one agent")
@@ -110,7 +110,7 @@ class ProblemInstance:
             laplacian, self.dims, depth
         )
         self.laplacian = self.coupling.laplacian
-        self.depth = int(depth)
+        self.depth = self.coupling.depth
         self.gain = coupling_gain(self.coupling)
 
         offsets = self.dims.offsets
@@ -139,7 +139,7 @@ class ProblemInstance:
             for agent in self.agents
         )
         if slater_probe:
-            self._probe_slater(rng)
+            self._probe_slater()
 
     @property
     def total_dim(self) -> int:
@@ -181,23 +181,24 @@ class ProblemInstance:
     def box_violation(self, x) -> float:
         return float(_box_violations(self.kernel, self._stacked(x)))
 
-    def _probe_slater(self, rng, samples: int = 200):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        for _ in range(samples):
-            ok = True
-            for a, s in zip(self.agents, self._block_slices):
+    def _probe_slater(self, samples: int = 200):
+        """Draw up to ``samples`` points per agent from one ``default_rng(0)``."""
+        rng = np.random.default_rng(0)
+        missing = []
+        for i, a in enumerate(self.agents, 1):
+            for _ in range(samples):
                 xi = a.box.sample(rng)
                 interior = np.all(xi > a.box.lower) and np.all(xi < a.box.upper)
-                if not interior or (a.constraints.size and np.any(a.constraints.value(xi) >= 0.0)):
-                    ok = False
+                if interior and not (a.constraints.size and np.any(a.constraints.value(xi) >= 0.0)):
                     break
-            if ok:
-                return
-        warnings.warn(
-            "no strictly feasible interior point found by sampling; "
-            "a constraint qualification could not be verified",
-            stacklevel=3,
-        )
+            else:
+                missing.append(i)
+        if missing:
+            warnings.warn(
+                f"no strictly feasible interior point found by sampling for agents {missing}; "
+                "a constraint qualification could not be verified",
+                stacklevel=3,
+            )
 
 
 def _box_violations(kernel, x):
@@ -472,7 +473,7 @@ class VelocityKernel:
         return self.shared[self.nbr]
 
     def payloads(self, x, lam):
-        """The payload table: every row's shared (x, lambda) prefix."""
+        """The payload table a log records: every row's shared (x, lambda) prefix."""
         return x[self.shared], lam[self.shared]
 
     def gathered(self, x, lam):
@@ -544,7 +545,7 @@ class VelocityKernel:
                 base[coord[on]] += m[on] * sub[sl][on]
 
         # coupling with the delivered neighbor payloads, one column at a time
-        xs, ls = self.payloads(x, lam)
+        xs, ls = x[self.shared], lam[self.shared]
         us = xs + ls
         coup = np.zeros_like(xs)
         dlam = np.zeros_like(xs)
@@ -789,24 +790,23 @@ class Trajectory:
     """Recorded run: states and diagnostics every ``record_every`` steps.
 
     The record is a list of float blocks of about ``_BLOCK_VALUES``
-    values.  A block row is one recorded step: the packed state
-    z = [x, lambda, mu], then t, the four residuals, the objective and
-    the box violation.  The driver writes z, t and the residuals; the
-    objective and box-violation columns are filled when a block is full
-    and when the run ends, one batched kernel call per block.
-    ``times``, ``states``, ``residuals``, ``objectives`` and
-    ``box_violations`` are read-only views that build their list on each
-    read: floats, ``SolverState``s (over one copy of each block, never
-    over the record itself) and ``KKTResidual``s.  The stop reason, step
-    count, wall time and message counts are set when the run ends.
+    values that hold only recorded rows.  A block row is what the driver
+    computed at one recorded step: the packed state z = [x, lambda, mu],
+    t and the four residuals.  ``times``, ``states``, ``residuals``,
+    ``objectives`` and ``box_violations`` are read-only views that build
+    their list on each read: floats, ``SolverState``s (over one copy of
+    each block, never over the record itself) and ``KKTResidual``s.  The
+    objectives and box violations are derived from each block's states,
+    one batched kernel call per block.  The stop reason, step count, wall
+    time and message counts are set when the run ends.
     """
 
     def __init__(self, problem: ProblemInstance):
         self._problem = problem
-        n, m = problem.total_dim, problem.multiplier_dim
-        self._width = w = 2 * n + m
-        self._t, self._res, self._obj, self._box = w, slice(w + 1, w + 5), w + 5, w + 6
-        self._per_block = max(1, _BLOCK_VALUES // (w + 7))
+        self._n = n = problem.total_dim
+        self._width = w = 2 * n + problem.multiplier_dim
+        self._t, self._res = w, slice(w + 1, w + 5)
+        self._per_block = max(1, _BLOCK_VALUES // (w + 5))
         self._blocks = []
         self._count = 0
         self.stop_reason = ""
@@ -819,42 +819,30 @@ class Trajectory:
         """Append one row: packed state ``z`` at time t, and its residuals."""
         k = self._count % self._per_block
         if k == 0:
-            self._blocks.append(np.empty((self._per_block, self._width + 7)))
+            self._blocks.append(np.empty((self._per_block, self._width + 5)))
         row = self._blocks[-1][k]
         row[: self._width] = z
-        row[self._t : self._obj] = (t, *residuals)
+        row[self._t :] = (t, *residuals)
         self._count += 1
-        if k + 1 == self._per_block:
-            self._fill(self._blocks[-1])
 
     def _finish(self):
-        """Fill the columns of the last block if the run ended inside it."""
+        """Cut the last block to its recorded rows if the run ended inside it."""
         rows = self._count % self._per_block
         if rows:
-            self._fill(self._blocks[-1][:rows])
+            self._blocks[-1] = self._blocks[-1][:rows]
 
-    def _fill(self, rows):
-        """The objective and box-violation columns of ``rows``, each as
-        ``objective_value`` and ``box_violation`` compute them."""
-        kernel = self._problem.kernel
-        xs = rows[:, : self._problem.total_dim]
+    def _objectives(self, rows) -> np.ndarray:
+        """Each row's objective, added as ``objective_value`` adds it."""
         total = np.zeros(len(rows))
-        for values in kernel.objective_value_rows(xs).T:  # left to right from 0.0
+        for values in self._problem.kernel.objective_value_rows(rows[:, : self._n]).T:
             total += values
-        rows[:, self._obj] = total
-        rows[:, self._box] = _box_violations(kernel, xs)
-
-    def _tables(self):
-        """The recorded rows, one array per block."""
-        for b, block in enumerate(self._blocks):
-            yield block[: min(self._per_block, self._count - b * self._per_block)]
+        return total
 
     def _column(self, c) -> np.ndarray:
-        return np.concatenate([rows[:, c] for rows in self._tables()])
+        return np.concatenate([rows[:, c] for rows in self._blocks])
 
     def _states(self, rows) -> list:
-        z = rows[:, : self._width].copy()
-        n = self._problem.total_dim
+        z, n = rows[:, : self._width].copy(), self._n
         return list(map(SolverState, z[:, :n], z[:, n : 2 * n], z[:, 2 * n :],
                         rows[:, self._t].tolist()))
 
@@ -864,7 +852,7 @@ class Trajectory:
 
     @property
     def states(self) -> list:
-        return [st for rows in self._tables() for st in self._states(rows)]
+        return [st for rows in self._blocks for st in self._states(rows)]
 
     @property
     def residuals(self) -> list:
@@ -872,23 +860,21 @@ class Trajectory:
 
     @property
     def objectives(self) -> list:
-        return self._column(self._obj).tolist()
+        return np.concatenate([self._objectives(rows) for rows in self._blocks]).tolist()
 
     @property
     def box_violations(self) -> list:
-        return self._column(self._box).tolist()
+        kernel = self._problem.kernel
+        return np.concatenate([_box_violations(kernel, rows[:, : self._n])
+                               for rows in self._blocks]).tolist()
 
     @property
     def final(self) -> SolverState:
-        return self._states(self._last())[0]
+        return self._states(self._blocks[-1][-1:])[0]
 
     @property
     def final_residual(self) -> KKTResidual:
-        return KKTResidual(*self._last()[0, self._res].tolist())
-
-    def _last(self):
-        k = (self._count - 1) % self._per_block
-        return self._blocks[-1][k : k + 1]
+        return KKTResidual(*self._blocks[-1][-1, self._res].tolist())
 
 
 def _drive(problem, kernel, stage, rows, z, t0, h, method, t_max, kkt_tol, record_every):
@@ -1066,7 +1052,7 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
     four residuals, and V when a reference state is supplied.  Floats are
     printed with 17 significant digits, so identical runs produce
     byte-identical files.  The rows are formatted straight from the
-    trajectory's blocks.
+    trajectory's blocks, and the objective column is computed per block.
     """
     n, m = problem.total_dim, problem.multiplier_dim
     header = (
@@ -1085,8 +1071,8 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         row = ",".join(["%.17g"] * len(header)) + "\n"
-        for rows in trajectory._tables():
-            columns = [rows[:, t], *rows[:, :w].T, rows[:, trajectory._obj],
+        for rows in trajectory._blocks:
+            columns = [rows[:, t], *rows[:, :w].T, trajectory._objectives(rows),
                        *rows[:, trajectory._res].T]
             if ref is not None:
                 columns.append(np.array([_lyapunov(st, ref, problem).total

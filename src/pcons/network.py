@@ -7,17 +7,19 @@ loop of ``pcons.dynamics`` ask for the velocity at every stage state,
 and here each such evaluation is one exchange, in which every agent
 sends the shared components of (x_i, lambda_i) along its edges,
 followed by one call of the compiled velocity kernel on every agent's
-row.  A row reads only its own block and the payloads delivered to it,
-and kink capture reads only the agent's own problem, so the run
-reproduces the centralized trajectory bit for bit.  The "network" is an
-in-process simulation: rounds are lockstep, there is no loss or delay.
+row, which receives its payloads through the gather index of the
+centralized stage.  A row reads only its own block and the payloads
+delivered to it, and kink capture reads only the agent's own problem, so
+the run reproduces the centralized trajectory bit for bit.  The
+"network" is an in-process simulation: rounds are lockstep, there is no
+loss or delay.
 
 One round is one step.  rk4 needs neighbor values at every stage state,
 so an rk4 round costs four exchanges; an Euler round costs one.
 
-A ``MessageLog`` keeps the traffic as one payload table per exchange
-(the table the gather reads) and builds a ``Message`` only when one is
-read; ``write_message_log_csv`` formats the tables in bulk.
+A ``MessageLog`` keeps the traffic as one payload table per exchange,
+built only for a log, and builds a ``Message`` only when one is read;
+``write_message_log_csv`` formats the tables in bulk.
 """
 from __future__ import annotations
 
@@ -78,10 +80,13 @@ class _Exchanges:
         x[k], lam[k] = px, pl
         self.rounds.append(n)
 
-    def table(self, e):
-        """The (x, lambda) payload table of exchange ``e``."""
-        x, lam = self.blocks[e // self.per_block]
-        return x[e % self.per_block], lam[e % self.per_block]
+    def messages(self, e, edges):
+        """The ``Message``s of exchange ``e`` along ``edges``, (receiver,
+        sender) pairs."""
+        (x, lam), b = self.blocks[e // self.per_block], e % self.per_block
+        n, px, pl = self.rounds[e], x[b], lam[b]
+        return [Message(round_index=n, sender=j + 1, receiver=i + 1,
+                        x_shared=px[j], lam_shared=pl[j]) for i, j in edges]
 
 
 class MessageLog:
@@ -117,11 +122,8 @@ class MessageLog:
 
     def __iter__(self):
         for run in self._runs:
-            for e, n in enumerate(run.rounds):
-                px, pl = run.table(e)
-                for i, j in run.edges:
-                    yield Message(round_index=n, sender=j + 1, receiver=i + 1,
-                                  x_shared=px[j], lam_shared=pl[j])
+            for e in range(len(run.rounds)):
+                yield from run.messages(e, run.edges)
 
     def __getitem__(self, k):
         k = range(self._count)[k]  # IndexError and negative indices as a list
@@ -129,10 +131,7 @@ class MessageLog:
             size = len(run.rounds) * len(run.edges)
             if k < size:
                 e, edge = divmod(k, len(run.edges))
-                i, j = run.edges[edge]
-                px, pl = run.table(e)
-                return Message(round_index=run.rounds[e], sender=j + 1, receiver=i + 1,
-                               x_shared=px[j], lam_shared=pl[j])
+                return run.messages(e, run.edges[edge : edge + 1])[0]
             k -= size
 
     def tables(self):
@@ -260,13 +259,13 @@ def _stacked_kernel(agents) -> VelocityKernel:
 class _Exchange:
     """The decentralized stage evaluator: one exchange, then the kernel.
 
-    Each agent sends its shared prefix along every incident edge; a
-    receiver's payloads are gathered from the senders' payload table.
-    The table of step index ``n`` is recorded (when ``log`` is a
-    ``MessageLog``) as round ``n``; ``sent`` counts the directed payloads.
-    A call is one exchange at (x, lambda, mu) and returns ``evaluate``'s
-    velocity; ``stage`` is the same exchange at a packed state, as the
-    stepper calls it.
+    Each agent sends its shared prefix along every incident edge; the
+    receivers get their payloads through ``VelocityKernel.gathered``, as
+    the centralized stage does.  Only when ``log`` is a ``MessageLog`` is
+    the payload table of step index ``n`` built and recorded as round
+    ``n``; ``sent`` counts the directed payloads.  A call is one exchange
+    at (x, lambda, mu) and returns ``evaluate``'s velocity; ``stage`` is
+    the same exchange at a packed state, as the stepper calls it.
     """
 
     def __init__(self, kernel, log):
@@ -274,11 +273,10 @@ class _Exchange:
 
     def __call__(self, x, lam, mu, n):
         kernel = self.kernel
-        px, pl = kernel.payloads(x, lam)
         if self.log is not None:
-            self.log.record(kernel.edges, n, px, pl)
+            self.log.record(kernel.edges, n, *kernel.payloads(x, lam))
         self.sent += len(kernel.edges)
-        return kernel.evaluate(x, lam, mu, px[kernel.nbr], pl[kernel.nbr])
+        return kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam))
 
     def stage(self, z, n):
         """The packed velocity (dz, g) at the packed state ``z``, packed

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 
 #: eigenvalues below this fraction of max(1, largest eigenvalue) count as zero
 ZERO_EIGENVALUE_RTOL = 1e-9
@@ -41,7 +41,7 @@ class OrderedIndexSet:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[int] = ()):
-        items = tuple(int(e) for e in entries)
+        items = tuple(_integer(e, "index", 1) for e in entries)
         if any(e < 1 for e in items):
             raise InvalidInputError(f"indices must be positive (1-based), got {items}")
         if len(set(items)) != len(items):
@@ -123,7 +123,7 @@ def extend_matrix(m, positions) -> np.ndarray:
     rows = [True] * m.shape[0]  # True for a row of m, False for an inserted zero row
     seq = positions.entries if isinstance(positions, OrderedIndexSet) else tuple(positions)
     for pos in seq:
-        pos = int(pos)
+        pos = _integer(pos, "insertion position", 1)
         order = len(rows)
         if not 1 <= pos <= order + 1:
             raise InvalidInputError(
@@ -143,7 +143,7 @@ class AgentDims:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "agent dimension", 1) for d in self.dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise InvalidInputError(f"dimensions must be positive integers, got {dims}")
         object.__setattr__(self, "dims", dims)
@@ -185,7 +185,7 @@ def consensus_index_set(dims, depth: int):
     block, and everything else.
     """
     dims = dims if isinstance(dims, AgentDims) else AgentDims(tuple(dims))
-    depth = int(depth)
+    depth = _integer(depth, "consensus depth", 1)
     if not 1 <= depth <= dims.n_min:
         raise InvalidInputError(
             f"consensus depth {depth} outside 1..{dims.n_min} for dims {dims.dims}"
@@ -284,14 +284,15 @@ def build_partial_consensus_matrix(laplacian, dims, depth: int) -> PartialConsen
         raise InvalidInputError(
             f"Laplacian order {lap.shape[0]} does not match {dims.count} agents"
         )
+    depth = _integer(depth, "consensus depth", 1)
     shared, complement = consensus_index_set(dims, depth)
-    core = np.kron(lap, np.eye(int(depth)))
+    core = np.kron(lap, np.eye(depth))
     matrix = extend_matrix(core, complement)
     return PartialConsensusMatrix(
         matrix=matrix,
         laplacian=lap,
         dims=dims,
-        depth=int(depth),
+        depth=depth,
         shared=shared,
         complement=complement,
     )
@@ -358,7 +359,7 @@ def permutation_matrix(size: int, subset) -> PermutationMatrix:
     leading positions of each agent block before building the coupling
     matrix, which itself always shares the leading components.
     """
-    size = int(size)
+    size = _integer(size, "permutation size", 0)
     subset = subset if isinstance(subset, OrderedIndexSet) else OrderedIndexSet(subset)
     if any(e > size for e in subset.entries):
         raise InvalidInputError(f"subset {subset.entries} not contained in 1..{size}")

@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -243,7 +244,7 @@ class _Parser:
 
 def parse_expression(text: str, dim: int) -> ConvexExpr:
     """Parse one expression string over x1..x{dim}."""
-    return _Parser(text, int(dim)).parse()
+    return _Parser(text, _integer(dim, "dim", 1)).parse()
 
 
 def _fmt(v: float) -> str:
@@ -333,20 +334,22 @@ def _array(value, what) -> list:
 def _numbers(value, what, ndim=0) -> np.ndarray:
     """A JSON number (``ndim`` 0) or ``ndim``-deep array of numbers, as floats.
 
-    Booleans, strings, nulls and ragged rows are errors, not converted.
-    NaN and infinity pass, for the checks that know what they mean.
+    Any JSON integer reads as a float, one beyond 64 bits too.  Booleans,
+    strings, nulls and ragged rows are errors, not converted.  NaN and
+    infinity pass, for the checks that know what they mean.
     """
     try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged rows
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged rows, or no number
         arr = None
-    if arr is not None and arr.ndim == ndim and arr.dtype.kind in "iuf":
-        # np.asarray([1, True]) is an int array: look for the booleans too
+    if arr is not None and arr.ndim == ndim:
+        # a float array reads true, "1" and null too: look at every entry's type
         flat = [value]
         for _ in range(ndim):
             flat = chain.from_iterable(flat)
-        if bool not in set(map(type, flat)):
-            return arr.astype(float, copy=False)
+        types = set(map(type, flat))
+        if bool not in types and all(issubclass(t, Real) for t in types):
+            return arr
     kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
     raise ExpressionError(f"{what} must be {kind}" + (f", got {value!r}" if ndim == 0 else ""))
 

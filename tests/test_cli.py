@@ -235,6 +235,16 @@ class TestErrorPaths:
         assert main(["oracle", EX2, "--grid", "0.01", "--compare", str(summary)]) == 1
         assert "error: 'objective:' in" in capsys.readouterr().err
 
+    def test_compare_summary_is_read_before_the_search(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid search ran")
+
+        monkeypatch.setattr(pcons.cli, "brute_force_solve", refuse)
+        summary = tmp_path / "summary.txt"
+        summary.write_text("objective: abc\n", encoding="utf-8")
+        assert main(["oracle", EX2, "--grid", "0.01", "--compare", str(summary)]) == 1
+        assert "oracle value:" not in capsys.readouterr().out
+
     def test_module_entry_point_reports_a_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"agents": 5, "laplacian": [[0]], "consensus_depth": 1}),

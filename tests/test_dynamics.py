@@ -318,6 +318,23 @@ class TestSlaterProbe:
         ProblemInstance([agent], np.zeros((1, 1)), 1, slater_probe=True)
         assert not [w for w in recwarn if "feasible" in str(w.message)]
 
+    def test_each_agent_is_sampled_on_its_own(self, recwarn):
+        # x1 - 0.5 < 0 on half of each box [0, 1]: a joint draw of 40 agents
+        # is strictly feasible with probability 2**-40
+        def agent(offset):
+            return AgentProblem(
+                objective=convex.quadratic(1, 0),
+                constraints=convex.ConstraintMap((convex.affine([1.0], offset),)),
+                box=convex.Box(np.zeros(1), np.ones(1)),
+            )
+
+        n = 40
+        chain = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
+        ProblemInstance([agent(-0.5)] * n, chain, 1, slater_probe=True)
+        assert not [w for w in recwarn if "feasible" in str(w.message)]
+        with pytest.warns(UserWarning, match=r"for agents \[40\]"):
+            ProblemInstance([agent(-0.5)] * (n - 1) + [agent(0.5)], chain, 1, slater_probe=True)
+
 
 class TestInitialState:
     def test_zeros(self, example2):

@@ -404,6 +404,15 @@ class TestMessageLog:
             for a, b in zip(agents, reference, strict=True):
                 assert np.array_equal(a.x, b.x) and np.array_equal(a.lam, b.lam)
 
+    def test_an_unlogged_run_builds_no_payload_table(self, example2, monkeypatch):
+        def refuse(kernel, x, lam):
+            raise AssertionError("a payload table was built")
+
+        monkeypatch.setattr(network.VelocityKernel, "payloads", refuse)
+        trajectory = run_decentralized(example2.problem, h=1e-3, method="rk4", t_max=0.01,
+                                       message_log=None)
+        assert trajectory.total_steps == 10
+
     def test_reads_like_a_list(self, example2, tmp_path):
         # 300 rk4 steps: 1201 exchanges, more than one block of payload tables
         table, want = MessageLog(), []

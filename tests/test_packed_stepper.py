@@ -325,6 +325,22 @@ class TestBlockColumns:
         assert not np.any(example2_run.states[0].x == 7.0)
         assert not np.any(example2_run.final.lam == 7.0)
 
+    def test_blocks_hold_the_recorded_rows_and_objectives_wait_for_a_read(self, example2):
+        calls = []
+        rows = dynamics.VelocityKernel.objective_value_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK_VALUES", 1000)  # blocks of 55 rows
+            mp.setattr(dynamics.VelocityKernel, "objective_value_rows",
+                       lambda kernel, xs: calls.append(len(xs)) or rows(kernel, xs))
+            trajectory = integrate(example2.problem, h=1e-3, t_max=0.2, kkt_tol=1e-15)
+            assert len(trajectory._blocks) > 1
+            assert sum(len(b) for b in trajectory._blocks) == len(trajectory.times) == 201
+            assert calls == []
+            objectives = trajectory.objectives
+        assert sum(calls) == 201
+        assert_bits_equal(objectives, [example2.problem.objective_value(s.x)
+                                       for s in trajectory.states])
+
     def test_example2_fills_many_blocks(self, example2_run):
         assert len(example2_run._blocks) > 1
         assert len(example2_run.states) == len(example2_run.times) == 9851

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcons.convex import quadratic
+from pcons.dynamics import AgentProblem, ProblemInstance
 from pcons.errors import InvalidInputError
 from pcons.pcmatrix import (
     AgentDims,
@@ -18,6 +20,7 @@ from pcons.pcmatrix import (
     permutation_matrix,
     spectral_summary,
 )
+from pcons.problemfile import parse_expression
 
 from conftest import random_connected_laplacian
 
@@ -444,3 +447,29 @@ def test_connectivity_helper():
         [1.0, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]
     ])
     assert not laplacian_is_connected(disconnected)
+
+
+# a library call given a non-integer where it takes an integer: int() would
+# truncate each of these
+NON_INTEGERS = {
+    "problem depth": lambda: ProblemInstance([AgentProblem(quadratic(1, 0))] * 3, PATH_L3, 1.9),
+    "agent dimension": lambda: AgentDims((2.7, 3)),
+    "index": lambda: OrderedIndexSet([1.5, 2]),
+    "insertion position": lambda: extend_matrix(np.eye(1), [1.7]),
+    "consensus depth": lambda: consensus_index_set((2, 2), 1.5),
+    "permutation size": lambda: permutation_matrix(2.5, [1]),
+    "atom dimension and coordinate": lambda: quadratic(2.9, 1.9),
+    "expression dimension": lambda: parse_expression("x1", 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_a_non_integer_is_rejected(case):
+    with pytest.raises(InvalidInputError, match="whole number"):
+        NON_INTEGERS[case]()
+
+
+def test_numpy_integers_pass():
+    assert AgentDims((np.int64(2), np.int32(3))).dims == (2, 3)
+    assert OrderedIndexSet(np.array([2, 1])) == (2, 1)
+    assert build_partial_consensus_matrix(PATH_L3, [1, 2, 2], np.int64(1)).depth == 1

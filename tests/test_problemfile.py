@@ -267,6 +267,8 @@ MALFORMED = {
     "laplacian with a boolean": (("laplacian", 1, 1), True),
     "init x of strings": (("init", "x"), ["0.5", "0.5"]),
     "init x of booleans": (("init", "x"), [True, False]),
+    "init x with a null": (("init", "x"), [None, 0.5]),
+    "laplacian with a string beside a big integer": (("laplacian", 0), ["1", -(2**70)]),
 }
 
 
@@ -282,6 +284,14 @@ def _malformed(path, value):
 def test_the_well_formed_document_parses():
     loaded = parse_problem_dict(_two_agents(), slater_probe=False)
     assert loaded.settings.h == 0.01 and loaded.init.x.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("path", [("agents", 0, "box", 0, 1), ("init", "x", 0)])
+def test_an_integer_beyond_64_bits_is_a_number(path):
+    loaded = parse_problem_dict(json.loads(json.dumps(_malformed(path, 2**70))),
+                                slater_probe=False)
+    value = loaded.problem.agents[0].box.upper[0] if path[0] == "agents" else loaded.init.x[0]
+    assert value == 2.0**70
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
