@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityError, InvalidInputError, _integer
+from .errors import ConvexityError, InvalidInputError, _integer, _reals
 
 #: a coordinate counts as sitting on an absolute-value kink below this distance
 KINK_TOLERANCE = 1e-12
@@ -44,6 +44,22 @@ def _merge(atoms):
         else:
             out.append((k, c, w))
     return [atom for atom in out if atom[2] != 0.0]
+
+
+def _weighted_sum(cols, weights):
+    """``cols @ weights`` over the last axis, bit for bit, as a new array.
+
+    One column is its product plus 0.0: that is what the one-column
+    ``@`` returns (it adds the product to 0.0, so a -0.0 product comes
+    out +0.0), without the cost of a matrix-vector call per block.  Two
+    or more columns keep ``@``, whose rounding an elementwise sum does
+    not reproduce.
+    """
+    if weights.shape[0] != 1:
+        return cols @ weights
+    out = cols[..., 0] * weights[0]
+    out += 0.0
+    return out
 
 
 def _columns(atoms):
@@ -181,20 +197,33 @@ class ConvexExpr:
         return total
 
     def value_many(self, points) -> np.ndarray:
-        """Vectorized ``value`` over an array of shape (..., dim)."""
+        """Vectorized ``value`` over an array of shape (..., dim).
+
+        Never writes into ``points``.  Each atom family gathers one copy
+        of its columns and updates it in place, and the total grows in
+        place.  The values are bit for bit those of ``points @ lin +
+        const`` plus each family's ``terms @ weights``, added in that
+        order (``_weighted_sum`` says how a one-column sum keeps them).
+        """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.dim:
             raise InvalidInputError(
                 f"expression on R^{self.dim} evaluated on points of shape {pts.shape}"
             )
-        total = pts @ self.lin + self.const
+        total = _weighted_sum(pts, self.lin)
+        total += self.const
         if len(self.quad_idx):
-            d = pts[..., self.quad_idx] - self.quad_center
-            total = total + (d * d) @ self.quad_weight
+            d = pts[..., self.quad_idx]  # an integer index gathers a copy
+            d -= self.quad_center
+            d *= d
+            total += _weighted_sum(d, self.quad_weight)
         if len(self.abs_idx):
-            total = total + np.abs(pts[..., self.abs_idx] - self.abs_center) @ self.abs_weight
+            d = pts[..., self.abs_idx]
+            d -= self.abs_center
+            total += _weighted_sum(np.abs(d, out=d), self.abs_weight)
         if len(self.exp_idx):
-            total = total + np.exp(pts[..., self.exp_idx]) @ self.exp_weight
+            d = pts[..., self.exp_idx]
+            total += _weighted_sum(np.exp(d, out=d), self.exp_weight)
         return total
 
     def subgradient(self, x) -> np.ndarray:
@@ -331,8 +360,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        lower = _reals(self.lower, "box lower bound")
+        upper = _reals(self.upper, "box upper bound")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise InvalidInputError("box bounds must be 1-d arrays of equal length")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):

@@ -44,7 +44,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .convex import KINK_TOLERANCE, Box, ConstraintMap, ConvexExpr, no_constraints
-from .errors import DivergenceError, InvalidInputError, NumericalError, _integer, _positive
+from .errors import (
+    DivergenceError, InvalidInputError, NumericalError, _integer, _positive, _reals,
+)
 from .pcmatrix import (
     AgentDims,
     PartialConsensusMatrix,
@@ -157,7 +159,7 @@ class ProblemInstance:
         return self._mu_slices[i]
 
     def _stacked(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _reals(x, "stacked vector")
         if x.shape != (self.total_dim,):
             raise InvalidInputError(
                 f"stacked vector of shape {x.shape}, expected ({self.total_dim},)"
@@ -616,19 +618,20 @@ def _gather_stage(kernel, z, n=0):
 def _check_state(state, problem):
     """Float copies of (x, lambda, mu) of a state that fits ``problem``.
 
-    Rejects arrays of the wrong shape, non-finite entries and a
-    non-finite time.
+    Rejects entries that are not real numbers (``errors._reals``), arrays
+    of the wrong shape, non-finite entries and a time that is not a
+    finite real number.
     """
     n, m = problem.total_dim, problem.multiplier_dim
     z = []
     for name, arr, want in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m)):
-        arr = np.asarray(arr)
+        arr = _reals(arr, f"state.{name}")
         if arr.shape != (want,):
             raise InvalidInputError(f"state.{name} has shape {arr.shape}, expected ({want},)")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError(f"state.{name} has non-finite entries")
         z.append(arr.astype(float))
-    if not np.isfinite(state.t):
+    if not np.isfinite(_reals(state.t, "state time", 0)):
         raise InvalidInputError(f"state time {state.t} is not finite")
     return tuple(z)
 

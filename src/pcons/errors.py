@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the two scalar checks
-that every entry point applies to a value from outside the program."""
+"""Exception types shared across the package, and the checks that every
+entry point applies to a value from outside the program."""
 import math
+from itertools import chain
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -64,3 +67,46 @@ def _integer(value, what, least, error=InvalidInputError) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise error(f"{what} must be an integer >= {least} (a whole number), got {value!r}")
     return int(value)
+
+
+def _all_real(value) -> bool:
+    """True when ``value`` is a real number other than a bool, an integer or
+    float ndarray, or lists and tuples of these at any depth."""
+    level = [value]
+    while level:
+        rows = []
+        for t in set(map(type, level)):
+            if issubclass(t, np.ndarray):
+                if any(v.dtype.kind not in "iuf" for v in level if type(v) is t):
+                    return False
+            elif issubclass(t, (list, tuple)):
+                rows.extend(v for v in level if type(v) is t)
+            elif issubclass(t, bool) or not issubclass(t, Real):
+                return False
+        level = list(chain.from_iterable(rows))
+    return True
+
+
+def _reals(value, what, ndim=None, error=InvalidInputError) -> np.ndarray:
+    """``value`` as a float array of ``ndim`` dimensions (any when None).
+
+    Every entry must be a real number, not a bool: Python and numpy ints
+    and floats pass, and an integer or float ndarray passes by its dtype
+    alone.  Bools, complex numbers, strings, None, object arrays and
+    ragged rows raise ``error``, which a problem file sets to
+    ``ExpressionError``.  NaN and infinity pass, for the checks that know
+    what they mean.
+    """
+    if isinstance(value, np.ndarray):  # the common cases: a dtype or a type test
+        real = value.dtype.kind in "iuf"
+    else:
+        real = type(value) in (float, int) or _all_real(value)
+    try:
+        arr = np.asarray(value, dtype=float) if real else None
+    except (ValueError, TypeError, OverflowError):  # ragged rows, or too large
+        arr = None
+    if arr is not None and ndim in (None, arr.ndim):
+        return arr
+    kind = ("real numbers" if ndim is None else "a number" if ndim == 0
+            else f"a {ndim}-d array of numbers")
+    raise error(f"{what} must be {kind}" + (f", got {value!r}" if ndim == 0 else ""))

@@ -99,10 +99,9 @@ def _search(problem, shared_axes, free_axes_per_agent):
             pts = buf[: b - a]
             pts[:, :, :depth] = shared_mesh[a:b, None, :]
             values = agent.objective.value_many(pts)
-            feasible = np.ones((b - a, P), dtype=bool)
+            # infeasible points, a NaN constraint value among them, score inf
             for comp in agent.constraints.components:
-                feasible &= comp.value_many(pts) <= 0.0
-            values = np.where(feasible, values, np.inf)
+                values[~(comp.value_many(pts) <= 0.0)] = np.inf
             best_idx[a:b] = np.argmin(values, axis=1)
             total[a:b] += values[np.arange(b - a), best_idx[a:b]]
         argmins.append((free_mesh, best_idx))

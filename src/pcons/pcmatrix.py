@@ -42,8 +42,6 @@ class OrderedIndexSet:
 
     def __init__(self, entries: Iterable[int] = ()):
         items = tuple(_integer(e, "index", 1) for e in entries)
-        if any(e < 1 for e in items):
-            raise InvalidInputError(f"indices must be positive (1-based), got {items}")
         if len(set(items)) != len(items):
             raise InvalidInputError(f"indices must be distinct, got {items}")
         self._entries = items
@@ -144,7 +142,7 @@ class AgentDims:
 
     def __post_init__(self):
         dims = tuple(_integer(d, "agent dimension", 1) for d in self.dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
+        if len(dims) < 1:
             raise InvalidInputError(f"dimensions must be positive integers, got {dims}")
         object.__setattr__(self, "dims", dims)
 
@@ -186,7 +184,7 @@ def consensus_index_set(dims, depth: int):
     """
     dims = dims if isinstance(dims, AgentDims) else AgentDims(tuple(dims))
     depth = _integer(depth, "consensus depth", 1)
-    if not 1 <= depth <= dims.n_min:
+    if depth > dims.n_min:
         raise InvalidInputError(
             f"consensus depth {depth} outside 1..{dims.n_min} for dims {dims.dims}"
         )
@@ -284,8 +282,9 @@ def build_partial_consensus_matrix(laplacian, dims, depth: int) -> PartialConsen
         raise InvalidInputError(
             f"Laplacian order {lap.shape[0]} does not match {dims.count} agents"
         )
-    depth = _integer(depth, "consensus depth", 1)
+    # consensus_index_set checks that the depth is an integer in 1..n_min
     shared, complement = consensus_index_set(dims, depth)
+    depth = int(depth)
     core = np.kron(lap, np.eye(depth))
     matrix = extend_matrix(core, complement)
     return PartialConsensusMatrix(

@@ -20,7 +20,8 @@ A problem file is a JSON object::
 (defaults to 0), ``constraints`` and ``box`` (defaults to the whole
 space; box entries may be null for an unbounded side).  Every value is
 checked once, on read: objects by one key check, numbers and arrays of
-numbers by one reader that rejects booleans, strings, nulls and ragged
+numbers by the package's one reader of real numbers
+(``errors._reals``), which rejects booleans, strings, nulls and ragged
 rows instead of converting them, ``dim`` and ``consensus_depth`` as
 whole numbers, and the ``solver`` block by the settings check of
 ``integrate``, so a bad value in the file is an error even when the
@@ -40,8 +41,6 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
-from numbers import Real
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .convex import (
     whole_space,
 )
 from .dynamics import AgentProblem, ProblemInstance, SolverState, _check_settings
-from .errors import ConvexityError, ExpressionError, InvalidInputError, _integer
+from .errors import ConvexityError, ExpressionError, InvalidInputError, _integer, _reals
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -331,29 +330,6 @@ def _array(value, what) -> list:
     return value
 
 
-def _numbers(value, what, ndim=0) -> np.ndarray:
-    """A JSON number (``ndim`` 0) or ``ndim``-deep array of numbers, as floats.
-
-    Any JSON integer reads as a float, one beyond 64 bits too.  Booleans,
-    strings, nulls and ragged rows are errors, not converted.  NaN and
-    infinity pass, for the checks that know what they mean.
-    """
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # ragged rows, or no number
-        arr = None
-    if arr is not None and arr.ndim == ndim:
-        # a float array reads true, "1" and null too: look at every entry's type
-        flat = [value]
-        for _ in range(ndim):
-            flat = chain.from_iterable(flat)
-        types = set(map(type, flat))
-        if bool not in types and all(issubclass(t, Real) for t in types):
-            return arr
-    kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
-    raise ExpressionError(f"{what} must be {kind}" + (f", got {value!r}" if ndim == 0 else ""))
-
-
 def _expression(text, dim, what) -> ConvexExpr:
     if not isinstance(text, str):
         raise ExpressionError(f"{what} must be an expression string, got {text!r}")
@@ -378,7 +354,7 @@ def _parse_agent(entry, index):
         raise ExpressionError(f"{where}.box has {len(pairs)} pairs for dimension {dim}")
     if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs):
         raise ExpressionError(f"{where}.box entries must be [lower, upper] pairs")
-    bounds = [[side if v is None else _numbers(v, f"{where}.box bound")
+    bounds = [[side if v is None else _reals(v, f"{where}.box bound", 0, ExpressionError)
                for v, side in zip(p, (-np.inf, np.inf))] for p in pairs]
     lower, upper = np.array(bounds).T.copy()
     return AgentProblem(objective=objective, constraints=constraints, box=Box(lower, upper))
@@ -390,7 +366,7 @@ def parse_problem_dict(doc: dict, slater_probe: bool = True) -> LoadedProblem:
     agents = [_parse_agent(a, i) for i, a in enumerate(_array(doc["agents"], "agents"))]
     problem = ProblemInstance(
         agents,
-        _numbers(doc["laplacian"], "laplacian", 2),
+        _reals(doc["laplacian"], "laplacian", 2, ExpressionError),
         _integer(doc["consensus_depth"], "consensus_depth", 1, ExpressionError),
         slater_probe=slater_probe,
     )
@@ -411,7 +387,8 @@ def _parse_init(block, problem) -> SolverState:
     sizes = {"x": problem.total_dim, "lambda": problem.total_dim, "mu": problem.multiplier_dim}
     arrays = []
     for name, want in sizes.items():
-        arr = _numbers(block[name], f"init.{name}", 1) if name in block else np.zeros(want)
+        arr = (_reals(block[name], f"init.{name}", 1, ExpressionError) if name in block
+               else np.zeros(want))
         if arr.shape != (want,):
             raise ExpressionError(f"init.{name} must have length {want}")
         arrays.append(arr)

@@ -459,3 +459,59 @@ def test_example2_trajectory_csv_reference_hash(tmp_path, example2, example2_run
     path = tmp_path / "trajectory.csv"
     pcons.write_trajectory_csv(example2_run, path, example2.problem)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXAMPLE2_TRAJECTORY_SHA256
+
+
+def _state(problem, x=None, t=0.0):
+    n, m = problem.total_dim, problem.multiplier_dim
+    return SolverState(np.ones(n) if x is None else x, np.zeros(n), np.zeros(m), t)
+
+
+# values that are not real numbers, at the point, state and box entry
+# points: each is an InvalidInputError, never converted or passed on
+NOT_REAL = {
+    "objective_value of strings": lambda p: p.objective_value(["1.5"] * 5),
+    "objective_value of bools": lambda p: p.objective_value([True] * 5),
+    "objective_value of None": lambda p: p.objective_value([None] * 5),
+    "objective_value of complex": lambda p: p.objective_value(np.ones(5) + 1j),
+    "constraint_values of strings": lambda p: p.constraint_values(["1.5"] * 5),
+    "constraint_values of bools": lambda p: p.constraint_values([True] * 5),
+    "constraint_values of complex": lambda p: p.constraint_values(np.ones(5, dtype=complex)),
+    "box_violation of strings": lambda p: p.box_violation(["1.5"] * 5),
+    "box_violation of bools": lambda p: p.box_violation([False] * 5),
+    "box_violation of complex": lambda p: p.box_violation(np.ones(5) * 1j),
+    "box_violation of a bool among floats": lambda p: p.box_violation([1.5, True, 1.5, 1.5, 1.5]),
+    "integrate with a complex state": lambda p: integrate(
+        p, init=_state(p, np.ones(5) + 0j), h=1e-3, t_max=0.01),
+    "integrate with a string state": lambda p: integrate(
+        p, init=_state(p, np.array(["1"] * 5)), h=1e-3, t_max=0.01),
+    "integrate with a string time": lambda p: integrate(
+        p, init=_state(p, t="0"), h=1e-3, t_max=0.01),
+    "integrate with a boolean time": lambda p: integrate(
+        p, init=_state(p, t=True), h=1e-3, t_max=0.01),
+    "integrate with a complex time": lambda p: integrate(
+        p, init=_state(p, t=1j), h=1e-3, t_max=0.01),
+    "kkt_residual with an object state": lambda p: kkt_residual(
+        _state(p, np.array([1.0] * 5, dtype=object)), p),
+    "kkt_residual with None in the state": lambda p: kkt_residual(
+        _state(p, [1.0, None, 1.0, 1.0, 1.0]), p),
+    "kkt_residual with a time of None": lambda p: kkt_residual(_state(p, t=None), p),
+    "rhs with a string time": lambda p: rhs(_state(p, t="0"), p),
+    "rhs with a list of strings": lambda p: rhs(_state(p, ["1"] * 5), p),
+    "box of a string bound": lambda p: convex.Box(["0"], [1.0]),
+    "box of a boolean bound": lambda p: convex.Box([False], [1.0]),
+    "box of a complex bound": lambda p: convex.Box(np.zeros(1), np.ones(1, dtype=complex)),
+    "box of a boolean array": lambda p: convex.Box(np.zeros(1, dtype=bool), np.ones(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+def test_a_value_that_is_not_a_real_number_is_rejected(example2, case):
+    with pytest.raises(InvalidInputError, match="must be"):
+        NOT_REAL[case](example2.problem)
+
+
+def test_integer_and_float_values_are_real_numbers(example2):
+    p = example2.problem
+    assert p.objective_value([1, 1, 1, 1, 1]) == p.objective_value(np.ones(5, dtype=np.float32))
+    assert convex.Box([0], np.array([1], dtype=np.int8)).upper.dtype == float
+    kkt_residual(_state(p, np.ones(5, dtype=int), t=np.int64(0)), p)

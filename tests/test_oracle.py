@@ -367,6 +367,37 @@ def test_blocked_search_depth_two_and_agents_without_free_coordinates():
         _assert_search_matches_reference(problem, shared, free, block)
 
 
+def test_blocked_search_where_a_constraint_overflows():
+    # on the free axis -2, 5.5, ..., 1040.5, exp(x1) overflows past 709.78:
+    # there exp(x1) - 5 is inf, and -1e307*x1 + exp(x1), already -inf from
+    # x1 = 20.5 on, is inf - inf = NaN; both mark their points infeasible
+    overflow = convex.exponential(2, 1, const=-5.0)
+    nan = convex.affine([0.0, -1e307]) + convex.exponential(2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert overflow.value_many(np.array([0.0, 710.0])) == np.inf
+        assert nan.value_many(np.array([0.0, 20.5])) == -np.inf
+        assert np.isnan(nan.value_many(np.array([0.0, 710.0])))
+    problem = ProblemInstance(
+        [
+            _one_free_agent([overflow]),
+            # least at x1 = 1000, where the constraint is NaN
+            AgentProblem(
+                objective=convex.absolute(2, 1, center=1000.0) + convex.affine([1.0, 0.0]),
+                constraints=convex.ConstraintMap((nan,)),
+            ),
+        ],
+        _path_laplacian(2),
+        1,
+    )
+    shared = [_grid_axis(0.0, 0.25, 5)]
+    free = [[_grid_axis(-2.0, 7.5, 140)], [_grid_axis(-2.0, 7.5, 140)]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        point, _ = oracle._search(problem, shared, free)
+        assert point[1] == -2.0 and point[3] == 703.0
+        for block in (1, 139, 140, 141, 280, 699, 700, 1000):
+            _assert_search_matches_reference(problem, shared, free, block)
+
+
 @pytest.mark.parametrize("grid, refine", [(0.05, 2), (0.02, 1)])
 def test_brute_force_matches_whole_mesh_reference_on_two_agents(grid, refine):
     # agents of dimension 2 and 3 sharing one coordinate, abs/quad/exp
