@@ -97,12 +97,8 @@ def _reals(value, what, ndim=None, error=InvalidInputError) -> np.ndarray:
     ``ExpressionError``.  NaN and infinity pass, for the checks that know
     what they mean.
     """
-    if isinstance(value, np.ndarray):  # the common cases: a dtype or a type test
-        real = value.dtype.kind in "iuf"
-    else:
-        real = type(value) in (float, int) or _all_real(value)
     try:
-        arr = np.asarray(value, dtype=float) if real else None
+        arr = np.asarray(value, dtype=float) if _all_real(value) else None
     except (ValueError, TypeError, OverflowError):  # ragged rows, or too large
         arr = None
     if arr is not None and ndim in (None, arr.ndim):
