@@ -62,8 +62,29 @@ def _weighted_sum(cols, weights):
     return out
 
 
+#: why a nonlinear form cannot be scaled by a negative factor
+NEGATIVE_SCALE = "scaling a nonlinear convex atom by a negative factor breaks convexity"
+
+
+def _scaled(lin, const, atoms, factor):
+    """The ``lin``, ``const`` and ``atoms`` of a normal form times
+    ``factor``, in new lists; atom order and zero weights are kept."""
+    if not any(atoms):
+        return [v * factor for v in lin], const * factor, ([], [], [])
+    if factor < 0:
+        raise ConvexityError(NEGATIVE_SCALE)
+    return ([v * factor for v in lin], const * factor,
+            [[(k, c, w * factor) for k, c, w in fam] for fam in atoms])
+
+
+#: the columns of an empty atom family, shared: an empty array holds nothing to write
+_NO_COLUMNS = (np.empty(0, dtype=int), np.empty(0), np.empty(0))
+
+
 def _columns(atoms):
-    idx, center, weight = zip(*atoms) if atoms else ((), (), ())
+    if not atoms:
+        return _NO_COLUMNS
+    idx, center, weight = zip(*atoms)
     return np.array(idx, dtype=int), np.array(center, dtype=float), np.array(weight, dtype=float)
 
 
@@ -113,16 +134,7 @@ class NormalForm:
         )
 
     def scale(self, factor: float) -> "NormalForm":
-        if factor < 0 and not self.is_affine:
-            raise ConvexityError(
-                "scaling a nonlinear convex atom by a negative factor breaks convexity"
-            )
-        return NormalForm(
-            self.dim,
-            [v * factor for v in self.lin],
-            self.const * factor,
-            [[(k, c, w * factor) for k, c, w in fam] for fam in self.atoms],
-        )
+        return NormalForm(self.dim, *_scaled(self.lin, self.const, self.atoms, factor))
 
     def freeze(self) -> "ConvexExpr":
         (qi, qc, qw), (ai, ac, aw), (ei, _, ew) = (_columns(fam) for fam in self.atoms)
@@ -158,7 +170,7 @@ class ConvexExpr:
     def __post_init__(self):
         for name in ("lin", "quad_idx", "quad_center", "quad_weight",
                      "abs_idx", "abs_center", "abs_weight", "exp_idx", "exp_weight"):
-            getattr(self, name).flags.writeable = False
+            getattr(self, name).setflags(write=False)
 
     # -- construction ----------------------------------------------------
 

@@ -20,19 +20,21 @@ A problem file is a JSON object::
 (defaults to 0), ``constraints`` and ``box`` (defaults to the whole
 space; box entries may be null for an unbounded side).  Every value is
 checked once, on read: objects by one key check, numbers and arrays of
-numbers by the package's one reader of real numbers
-(``errors._reals``), which rejects booleans, strings, nulls and ragged
-rows instead of converting them, ``dim`` and ``consensus_depth`` as
-whole numbers, and the ``solver`` block by the settings check of
-``integrate``, so a bad value in the file is an error even when the
-command line overrides it.
+numbers (an agent's box as one array) by the package's one reader of
+real numbers (``errors._reals``), which rejects booleans, strings, nulls
+and ragged rows instead of converting them, ``dim`` and
+``consensus_depth`` as whole numbers, and the ``solver`` block by the
+settings check of ``integrate``, so a bad value in the file is an error
+even when the command line overrides it.
 
 Expression strings use variables x1..x{dim} of the owning agent,
 numeric literals, ``+``, ``-``, ``*`` by constants, ``abs(...)``,
 ``exp(xk)`` and squares ``(...)^2`` of single-variable affine terms.
 Anything outside this vocabulary is rejected loudly: this parser
 prefers a clear error over silently accepting a nonconvex formula, and
-it rejects a number or a finished coefficient that is not finite.
+it rejects a number or a finished coefficient that is not finite and
+parentheses nested over 100 deep.  It builds each term's coefficients
+directly, with the floats of the ``convex.NormalForm`` algebra.
 """
 from __future__ import annotations
 
@@ -41,17 +43,22 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .convex import (
     ABS,
     EXP,
+    NEGATIVE_SCALE,
     QUAD,
     Box,
     ConstraintMap,
     ConvexExpr,
     NormalForm,
+    _merge,
+    _scaled,
     no_constraints,
     whole_space,
 )
@@ -59,186 +66,187 @@ from .dynamics import AgentProblem, ProblemInstance, SolverState, _check_setting
 from .errors import ConvexityError, ExpressionError, InvalidInputError, _integer, _reals
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<op>[-+*^()])"
+    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<var>x\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S))"
 )
+
+#: parentheses, a function's included, nested deeper than this are rejected
+_MAX_NESTING = 100
+
+#: the atom families of a term without atoms (never written to)
+_NO_ATOMS = ([], [], [])
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", position=pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
+    """(kind, text, column) of each token, then ("end", "", len(text))."""
+    tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+              for m in _TOKEN_RE.finditer(text)]
+    if "bad" in map(itemgetter(0), tokens):
+        pos = next(pos for kind, _, pos in tokens if kind == "bad")
+        raise ExpressionError(f"unexpected character {text[pos]!r}", position=pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _times(term, factor):
+    """The term (lin, const, atoms) times ``factor``, as ``NormalForm.scale``."""
+    try:
+        return _scaled(*term, factor)
+    except ConvexityError as exc:
+        raise ExpressionError(f"non-convex atom: {exc}") from exc
+
+
 class _Parser:
-    """Recursive-descent parser building one normal form per string."""
+    """Recursive descent that builds each term's coefficients directly.
+
+    A factor is a float (a number, or a constant atom or parenthesis), a
+    coordinate (a variable), an atom (family, (coord, center, weight)) or a
+    parenthesis's ``NormalForm``.  A term, the product of its constant
+    factors and at most one other factor, is a (lin, const, atoms) triple,
+    and ``expr`` sums terms into one ``NormalForm``: each float is the one
+    that the ``NormalForm`` algebra gives for the same string.
+    """
 
     def __init__(self, text, dim):
-        self.text = text
-        self.dim = dim
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        self.dim, self.tokens, self.i, self.depth = dim, _tokenize(text), 0, 0
 
     def expect(self, value):
-        kind, text, pos = self.next()
+        kind, text, pos = self.tokens[self.i]
         if text != value:
             raise ExpressionError(f"expected {value!r}, found {text or 'end of input'!r}", position=pos)
-
-    def constant(self, value) -> NormalForm:
-        return NormalForm(self.dim, [0.0] * self.dim, value)
+        self.i += 1
 
     def parse(self) -> ConvexExpr:
         form = self.expr()
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ExpressionError(f"unexpected trailing {text!r}", position=pos)
-        atoms = (v for fam in form.atoms for _, c, w in fam for v in (c, w))
-        if not all(map(math.isfinite, [*form.lin, form.const, *atoms])):
+        atoms = map(chain.from_iterable, form.atoms)  # coordinates are finite too
+        if not all(map(math.isfinite, chain(form.lin, (form.const,), *atoms))):
             raise ExpressionError("a coefficient of the expression is not finite", position=0)
         return form.freeze()
 
     def expr(self) -> NormalForm:
-        negate = False
-        if self.peek()[1] == "-":
-            self.next()
-            negate = True
-        try:
-            total = self.term()
-            if negate:
-                total = total.scale(-1.0)
-            while self.peek()[1] in ("+", "-"):
-                op = self.next()[1]
-                rhs = self.term()
-                total = total.add(rhs if op == "+" else rhs.scale(-1.0))
-        except ConvexityError as exc:
-            raise ExpressionError(f"non-convex atom: {exc}") from exc
-        return total
+        tokens = self.tokens
+        negate = tokens[self.i][1] == "-"
+        self.i += negate
+        lin, const, atoms = _times(self.term(), -1.0) if negate else self.term()
+        merged = False  # after one sum, a family is merged until a term adds to it
+        while tokens[self.i][1] in ("+", "-"):
+            op = tokens[self.i][1]
+            self.i += 1
+            tl, tc, ta = self.term() if op == "+" else _times(self.term(), -1.0)
+            lin = [a + b for a, b in zip(lin, tl)]
+            const = const + tc
+            if any(ta) or not merged:
+                atoms = [_merge(a + b) if b or a and not merged else a for a, b in zip(atoms, ta)]
+                merged = True
+        return NormalForm(self.dim, lin, const, atoms)
 
-    def term(self) -> NormalForm:
-        factors = [self.factor()]
-        while self.peek()[1] == "*":
-            self.next()
-            factors.append(self.factor())
-        scalars = [f for f in factors if f.is_affine and not any(f.lin)]
-        others = [f for f in factors if not (f.is_affine and not any(f.lin))]
+    def term(self):
+        tokens = self.tokens
+        coeff, others = 1.0, []
+        while True:
+            pos = tokens[self.i][2]
+            factor = self.primary()
+            if tokens[self.i][1] == "^":
+                kind, text, at = tokens[self.i + 1]
+                self.i += 2
+                if kind != "num":
+                    raise ExpressionError(f"expected an exponent, found {text!r}", position=at)
+                if float(text) != 2.0:
+                    raise ExpressionError(
+                        f"non-convex atom: power ^{text} (only squares are supported)", position=at)
+                k, slope, const = self.affine(factor, pos, "a square")
+                factor = const * const if k is None else (QUAD, (k, -const / slope, slope * slope))
+            if factor.__class__ is float:
+                coeff *= factor
+            else:
+                others.append(factor)
+            if tokens[self.i][1] != "*":
+                break
+            self.i += 1
         if len(others) > 1:
             raise ExpressionError(
-                "products of non-constant expressions are outside the supported vocabulary"
-            )
-        coeff = 1.0
-        for s in scalars:
-            coeff *= s.const
+                "products of non-constant expressions are outside the supported vocabulary")
         if not others:
-            return self.constant(coeff)
-        try:
-            return others[0].scale(coeff)
-        except ConvexityError as exc:
-            raise ExpressionError(f"non-convex atom: {exc}") from exc
-
-    def factor(self) -> NormalForm:
-        base, base_pos = self.primary()
-        if self.peek()[1] == "^":
-            self.next()
-            kind, text, pos = self.next()
-            if kind != "num":
-                raise ExpressionError(f"expected an exponent, found {text!r}", position=pos)
-            power = float(text)
-            if power != 2.0:
-                raise ExpressionError(
-                    f"non-convex atom: power ^{text} (only squares are supported)",
-                    position=pos,
-                )
-            return self._square(base, base_pos)
-        return base
+            return [0.0] * self.dim, coeff, _NO_ATOMS
+        other = others[0]
+        if other.__class__ is NormalForm:  # scaling by 1.0 changes no bit
+            term = other.lin, other.const, other.atoms
+            return term if coeff == 1.0 else _times(term, coeff)
+        # a variable's or an atom's unit form times coeff, as NormalForm.scale gives it
+        zero = 0.0 * coeff
+        lin = [zero] * self.dim
+        if other.__class__ is int:
+            lin[other] = coeff
+            return lin, zero, _NO_ATOMS
+        family, (k, c, w) = other
+        if coeff < 0:
+            raise ExpressionError(f"non-convex atom: {NEGATIVE_SCALE}")
+        atoms = ([], [], [])
+        atoms[family].append((k, c, w * coeff))
+        return lin, zero, atoms
 
     def primary(self):
-        kind, text, pos = self.next()
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
                 raise ExpressionError(f"number {text} is not finite", position=pos)
-            return self.constant(value), pos
+            return value
         if kind == "var":
             coord = int(text[1:]) - 1
             if not 0 <= coord < self.dim:
-                raise ExpressionError(
-                    f"variable {text} outside x1..x{self.dim}", position=pos
-                )
-            form = self.constant(0.0)
-            form.lin[coord] = 1.0
-            return form, pos
+                raise ExpressionError(f"variable {text} outside x1..x{self.dim}", position=pos)
+            return coord
         if kind == "name":
             if text not in ("abs", "exp"):
                 raise ExpressionError(f"unknown function {text!r}", position=pos)
             self.expect("(")
-            inner = self.expr()
-            self.expect(")")
+            what = "an absolute value" if text == "abs" else "an exponential"
+            k, slope, const = self.affine(self.group(), pos, what)
             if text == "abs":
-                return self._absolute(inner, pos), pos
-            return self._exponential(inner, pos), pos
+                return abs(const) if k is None else (ABS, (k, -const / slope, abs(slope)))
+            if k is None or slope != 1.0 or const != 0.0:
+                raise ExpressionError(
+                    "exp(...) supports a bare variable argument only", position=pos)
+            return EXP, (k, 0.0, 1.0)
         if text == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner, pos
+            form = self.group()
+            return form.const if form.is_affine and not any(form.lin) else form
         raise ExpressionError(f"unexpected {text or 'end of input'!r}", position=pos)
 
-    def _single_variable_affine(self, e: NormalForm, pos, what):
-        if not e.is_affine:
-            raise ExpressionError(
-                f"{what} of a nonlinear expression is outside the supported vocabulary",
-                position=pos,
-            )
-        nz = [k for k, v in enumerate(e.lin) if v]
-        if len(nz) > 1:
-            raise ExpressionError(
-                f"{what} of a multi-variable expression is outside the supported vocabulary",
-                position=pos,
-            )
-        if len(nz) == 0:
-            return None, 0.0, e.const
-        k = nz[0]
-        return k, e.lin[k], e.const
+    def group(self) -> NormalForm:
+        """The expression after an opening parenthesis, up to its closing one."""
+        if self.depth == _MAX_NESTING:
+            raise ExpressionError(f"parentheses nested deeper than {_MAX_NESTING}",
+                                  position=self.tokens[self.i - 1][2])
+        self.depth += 1
+        form = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return form
 
-    def _square(self, e: NormalForm, pos) -> NormalForm:
-        k, slope, const = self._single_variable_affine(e, pos, "a square")
-        if k is None:
-            return self.constant(const * const)
-        return NormalForm.atom(self.dim, QUAD, k, -const / slope, slope * slope)
-
-    def _absolute(self, e: NormalForm, pos) -> NormalForm:
-        k, slope, const = self._single_variable_affine(e, pos, "an absolute value")
-        if k is None:
-            return self.constant(abs(const))
-        return NormalForm.atom(self.dim, ABS, k, -const / slope, abs(slope))
-
-    def _exponential(self, e: NormalForm, pos) -> NormalForm:
-        k, slope, const = self._single_variable_affine(e, pos, "an exponential")
-        if k is None or slope != 1.0 or const != 0.0:
-            raise ExpressionError(
-                "exp(...) supports a bare variable argument only", position=pos
-            )
-        return NormalForm.atom(self.dim, EXP, k, 0.0, 1.0)
+    def affine(self, e, pos, what):
+        """(coord, slope, const) of a factor that is affine in one variable,
+        with coord None for a constant."""
+        if e.__class__ is float:
+            return None, 0.0, e
+        if e.__class__ is int:
+            return e, 1.0, 0.0
+        if e.__class__ is tuple or not e.is_affine:
+            what = f"{what} of a nonlinear expression"
+        else:
+            nz = [k for k, v in enumerate(e.lin) if v]
+            if len(nz) < 2:
+                return (nz[0], e.lin[nz[0]], e.const) if nz else (None, 0.0, e.const)
+            what = f"{what} of a multi-variable expression"
+        raise ExpressionError(f"{what} is outside the supported vocabulary", position=pos)
 
 
 def parse_expression(text: str, dim: int) -> ConvexExpr:
@@ -354,9 +362,8 @@ def _parse_agent(entry, index):
         raise ExpressionError(f"{where}.box has {len(pairs)} pairs for dimension {dim}")
     if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs):
         raise ExpressionError(f"{where}.box entries must be [lower, upper] pairs")
-    bounds = [[side if v is None else _reals(v, f"{where}.box bound", 0, ExpressionError)
-               for v, side in zip(p, (-np.inf, np.inf))] for p in pairs]
-    lower, upper = np.array(bounds).T.copy()
+    bounds = [[-np.inf if lo is None else lo, np.inf if hi is None else hi] for lo, hi in pairs]
+    lower, upper = _reals(bounds, f"{where}.box bounds", 2, ExpressionError).T.copy()
     return AgentProblem(objective=objective, constraints=constraints, box=Box(lower, upper))
 
 
