@@ -103,10 +103,8 @@ def _resolve_init(args, problem, file_init):
 
 def _consensus_spread(problem, x) -> float:
     """Largest pairwise gap across agents in any shared coordinate."""
-    blocks = np.stack(
-        [x[problem.block(i)][: problem.depth] for i in range(len(problem.agents))]
-    )
-    return float(np.max(blocks.max(axis=0) - blocks.min(axis=0)))
+    shared = x[problem.kernel.shared]
+    return float(np.max(shared.max(axis=0) - shared.min(axis=0)))
 
 
 def _write_summary(path, problem, trajectory, mode, method, h):
@@ -138,6 +136,8 @@ def _write_summary(path, problem, trajectory, mode, method, h):
 
 
 def cmd_solve(args) -> int:
+    if args.log_messages and not args.decentralized:
+        raise InvalidInputError("--log-messages needs --decentralized")
     loaded = parse_problem(args.problem)
     problem, settings = loaded.problem, loaded.settings
     h = args.h if args.h is not None else settings.h
@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mode = "decentralized" if args.decentralized else "centralized"
-    message_log = MessageLog() if (args.decentralized and args.log_messages) else None
+    message_log = MessageLog() if args.log_messages else None
 
     code = EXIT_OK
     try:

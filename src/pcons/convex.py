@@ -374,14 +374,10 @@ class Box:
     def __post_init__(self):
         lower = _reals(self.lower, "box lower bound")
         upper = _reals(self.upper, "box upper bound")
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise InvalidInputError("box bounds must be 1-d arrays of equal length")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise InvalidInputError("box bounds must not be NaN")
-        if np.any(lower == np.inf) or np.any(upper == -np.inf):
-            raise InvalidInputError("box is empty: a lower bound is +inf or an upper bound is -inf")
-        if np.any(lower > upper):
-            raise InvalidInputError("box is empty: a lower bound exceeds its upper bound")
+        # one test for every fault; a comparison with NaN is False
+        if not (lower.ndim == 1 and lower.shape == upper.shape
+                and ((lower <= upper) & (lower < np.inf) & (upper > -np.inf)).all()):
+            raise InvalidInputError(_box_fault(lower, upper))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         lower.flags.writeable = False
@@ -414,6 +410,18 @@ class Box:
         lo = np.where(np.isfinite(self.lower), self.lower, np.minimum(self.upper - 1.0, -1.0))
         hi = np.where(np.isfinite(self.upper), self.upper, np.maximum(lo + 2.0, 1.0))
         return rng.uniform(lo, hi)
+
+
+def _box_fault(lower, upper) -> str:
+    """What is wrong with box bounds that fail ``Box``'s test, the first
+    fault in this order: shape, NaN, an infinite empty side, crossed."""
+    if lower.shape != upper.shape or lower.ndim != 1:
+        return "box bounds must be 1-d arrays of equal length"
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        return "box bounds must not be NaN"
+    if (lower == np.inf).any() or (upper == -np.inf).any():
+        return "box is empty: a lower bound is +inf or an upper bound is -inf"
+    return "box is empty: a lower bound exceeds its upper bound"
 
 
 def whole_space(dim: int) -> Box:

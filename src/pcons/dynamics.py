@@ -40,6 +40,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,9 +97,9 @@ class ProblemInstance:
     """N agents, a coupling graph, and the consensus depth.
 
     Construction normalizes the Laplacian, builds the coupling matrix and
-    the gain, and precomputes the per-agent block layout.  The velocity
-    kernel is compiled on first use (``kernel``), so parsing and the
-    oracle never pay for it.  ``slater_probe=True`` additionally samples
+    the gain, and lays out the per-agent blocks as the kernel does.  The
+    velocity kernel is compiled on first use (``kernel``), so parsing and
+    the oracle never pay for it.  ``slater_probe=True`` additionally samples
     each agent's box on its own for a strictly feasible interior point and
     warns (never errors), naming every agent that has none.
     """
@@ -115,30 +116,14 @@ class ProblemInstance:
         self.depth = self.coupling.depth
         self.gain = coupling_gain(self.coupling)
 
-        offsets = self.dims.offsets
-        self._block_slices = tuple(
-            slice(off, off + d) for off, d in zip(offsets, self.dims.dims)
-        )
-        mu_sizes = [a.constraints.size for a in self.agents]
-        mu_off = np.concatenate([[0], np.cumsum(mu_sizes)])
-        self._mu_slices = tuple(
-            slice(int(mu_off[i]), int(mu_off[i + 1])) for i in range(len(self.agents))
-        )
-        self.multiplier_dim = int(mu_off[-1])
+        self._block_slices = _slices(self.dims.dims)
+        self._mu_slices = _slices([a.constraints.size for a in self.agents])
+        self.multiplier_dim = self._mu_slices[-1].stop
 
         lap = self.laplacian
         self.neighbors = tuple(
             tuple((j, float(-lap[i, j])) for j in np.flatnonzero(lap[i]).tolist() if j != i)
             for i in range(self.dims.count)
-        )
-        # snap targets: objective kinks on the non-shared coordinates
-        self._capture_table = tuple(
-            tuple(
-                (k, c)
-                for k, c in agent.objective.kink_locations()
-                if k >= self.depth
-            )
-            for agent in self.agents
         )
         if slater_probe:
             self._probe_slater()
@@ -151,6 +136,10 @@ class ProblemInstance:
     def kernel(self) -> "VelocityKernel":
         """The agents compiled for the velocity field, on first use."""
         return VelocityKernel(self.agents, self.neighbors, self.depth, self.gain)
+
+    @property
+    def _capture_table(self):  # each agent's kink table, as the kernel derives it
+        return self.kernel.kinks
 
     def block(self, i: int) -> slice:
         return self._block_slices[i]
@@ -201,6 +190,13 @@ class ProblemInstance:
                 "a constraint qualification could not be verified",
                 stacklevel=3,
             )
+
+
+def _slices(sizes):
+    """Consecutive slices of the given sizes from 0: every agent's block
+    of x (or lambda), or of mu, in ``ProblemInstance`` and the kernel."""
+    stops = list(accumulate(sizes, initial=0))
+    return tuple(slice(a, b) for a, b in zip(stops[:-1], stops[1:]))
 
 
 def _box_violations(kernel, x):
@@ -376,11 +372,15 @@ class VelocityKernel:
     """A set of agents compiled into flat arrays for one velocity evaluation.
 
     ``agents`` are ``AgentProblem`` rows and ``neighbors[i]`` lists row i's
-    (neighbor index, edge weight) pairs in ascending order.  The arrays
-    hold the objective atoms in stacked coordinates, the constraint rows
-    and one objective value row per agent grouped by exact length, the
-    constraint rows as per-column subgradient entries, the neighbor table
-    padded with zero weights, and the stacked box bounds.
+    (neighbor index, edge weight) pairs in ascending order.  The kernel
+    keeps its ``agents`` and derives all per-row data: the block and
+    multiplier slices, and each row's kink table ``kinks``, the (coordinate,
+    center) pairs of its objective's ``abs`` atoms on non-shared
+    coordinates, where kink capture may snap.  The arrays hold the
+    objective atoms in stacked coordinates, the constraint rows and one
+    objective value row per agent grouped by exact length, the constraint
+    rows as per-column subgradient entries, the neighbor table padded with
+    zero weights, and the stacked box bounds.
     ``evaluate`` applies one fixed sequence of numpy operations to every
     row; each row reads only its own block and the payloads delivered to
     it.  An objective that is not a ``ConvexExpr`` is asked for its own
@@ -388,18 +388,18 @@ class VelocityKernel:
     """
 
     def __init__(self, agents, neighbors, depth, gain):
-        agents = tuple(agents)
+        self.agents = agents = tuple(agents)
         self.depth, self.gain, self.twice_gain = depth, gain, 2.0 * gain
         dims = [a.dim for a in agents]
         sizes = [a.constraints.size for a in agents]
-        off = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        mu_off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        self.total_dim, self.multiplier_dim = int(off[-1]), int(mu_off[-1])
-        self.blocks = tuple(slice(int(off[i]), int(off[i + 1])) for i in range(len(agents)))
-        self.mu_blocks = tuple(
-            slice(int(mu_off[i]), int(mu_off[i + 1])) for i in range(len(agents))
+        self.total_dim, self.multiplier_dim = sum(dims), sum(sizes)
+        self.blocks, self.mu_blocks = _slices(dims), _slices(sizes)
+        starts = np.array([s.start for s in self.blocks], dtype=int)
+        self.shared = starts[:, None] + np.arange(depth)
+        self.kinks = tuple(
+            tuple((k, c) for k, c in a.objective.kink_locations() if k >= depth)
+            for a in agents
         )
-        self.shared = off[:-1, None] + np.arange(depth)
         self.lower = np.concatenate([a.box.lower for a in agents])
         self.upper = np.concatenate([a.box.upper for a in agents])
 
@@ -448,7 +448,7 @@ class VelocityKernel:
             for i, a in enumerate(agents):
                 if c >= sizes[i]:
                     continue
-                g, s, r = a.constraints.components[c], self.blocks[i], int(mu_off[i]) + c
+                g, s, r = a.constraints.components[c], self.blocks[i], self.mu_blocks[i].start + c
                 p0 = len(con_lin)
                 con_lin.extend(g.lin.tolist())
                 coord.extend(range(s.start, s.stop))
@@ -947,7 +947,7 @@ def integrate(
     state = init if init is not None else initial_state(problem, "zeros")
     z = _packed_state(state, problem)
     kernel = problem.kernel
-    rows = tuple(zip(problem.agents, problem._capture_table)) if capture_kinks else ()
+    rows = tuple(zip(kernel.agents, kernel.kinks)) if capture_kinks else ()
     return _drive(problem, kernel, partial(_gather_stage, kernel), rows, z, state.t,
                   h, method, t_max, kkt_tol, record_every)
 
@@ -1056,8 +1056,15 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
     printed with 17 significant digits, so identical runs produce
     byte-identical files.  The rows are formatted straight from the
     trajectory's blocks, and the objective column is computed per block.
+    ``problem`` must have the trajectory's dimensions, else
+    ``InvalidInputError`` is raised before the file is opened.
     """
     n, m = problem.total_dim, problem.multiplier_dim
+    if (n, 2 * n + m) != (trajectory._n, trajectory._width):
+        raise InvalidInputError(
+            f"trajectory of {trajectory._n} primal and {trajectory._width - 2 * trajectory._n} "
+            f"multiplier entries written with a problem of {n} and {m}"
+        )
     header = (
         ["t"]
         + [f"x_{k}" for k in range(1, n + 1)]

@@ -8,18 +8,21 @@ and here each such evaluation is one exchange, in which every agent
 sends the shared components of (x_i, lambda_i) along its edges,
 followed by one call of the compiled velocity kernel on every agent's
 row, which receives its payloads through the gather index of the
-centralized stage.  A row reads only its own block and the payloads
-delivered to it, and kink capture reads only the agent's own problem, so
-the run reproduces the centralized trajectory bit for bit.  The
-"network" is an in-process simulation: rounds are lockstep, there is no
-loss or delay.
+centralized stage.  An agent keeps only its own problem, neighbors and
+state; the kernel, whose rows are the agents in id order, derives each
+row's slices and kink table from the agents' current problems.  A row
+reads only its own block and the payloads delivered to it, and kink
+capture reads only the agent's own problem, so the run reproduces the
+centralized trajectory bit for bit.  The "network" is an in-process
+simulation: rounds are lockstep, there is no loss or delay.
 
 One round is one step.  rk4 needs neighbor values at every stage state,
 so an rk4 round costs four exchanges; an Euler round costs one.
 
 A ``MessageLog`` keeps the traffic as one payload table per exchange,
-built only for a log, and builds a ``Message`` only when one is read;
-``write_message_log_csv`` formats the tables in bulk.
+built only for a log, and builds a ``Message``, with read-only payload
+views, only when one is read; ``write_message_log_csv`` formats the
+tables in bulk.
 """
 from __future__ import annotations
 
@@ -48,7 +51,9 @@ from .pcmatrix import laplacian_is_connected
 
 @dataclass(frozen=True)
 class Message:
-    """One directed payload: the sender's shared (x, lambda) components."""
+    """One directed payload: the sender's shared (x, lambda) components.
+
+    A ``MessageLog`` hands out its payloads as read-only views."""
 
     round_index: int
     sender: int
@@ -82,9 +87,10 @@ class _Exchanges:
 
     def messages(self, e, edges):
         """The ``Message``s of exchange ``e`` along ``edges``, (receiver,
-        sender) pairs."""
+        sender) pairs; their payloads are read-only views of the log."""
         (x, lam), b = self.blocks[e // self.per_block], e % self.per_block
-        n, px, pl = self.rounds[e], x[b], lam[b]
+        n, px, pl = self.rounds[e], x[b].view(), lam[b].view()
+        px.flags.writeable = pl.flags.writeable = False
         return [Message(round_index=n, sender=j + 1, receiver=i + 1,
                         x_shared=px[j], lam_shared=pl[j]) for i, j in edges]
 
@@ -153,32 +159,23 @@ class Agent:
 
     ``neighbors`` lists (0-based neighbor index, edge weight) in
     ascending index order; the weights are the negated off-diagonal
-    Laplacian entries, so they are positive.  Assigning ``problem``
-    discards every kernel compiled from the previous one.
+    Laplacian entries, so they are positive.  ``problem`` may be
+    reassigned: a kernel compiled from an earlier problem is not reused,
+    and the kink table comes from the kernel, so it follows the problem.
     """
 
-    def __init__(self, agent_id, problem, depth, gain, neighbors, capture_table,
-                 x, lam, mu):
+    def __init__(self, agent_id, problem, depth, gain, neighbors, x, lam, mu):
         self.id = agent_id  # 1-based, for logs
         self.depth = depth
         self.gain = gain
         self.neighbors = tuple(neighbors)
         self.problem: AgentProblem = problem
-        self.capture_table = tuple(capture_table)
         self.x = np.asarray(x, dtype=float).copy()
         self.lam = np.asarray(lam, dtype=float).copy()
         self.mu = np.asarray(mu, dtype=float).copy()
         self.round_index = 0
-
-    @property
-    def problem(self) -> AgentProblem:
-        return self._problem
-
-    @problem.setter
-    def problem(self, value):
-        self._problem = value
         self._own = None  # one-agent kernel, compiled on first use
-        self._stack = None  # the stacked kernel this agent is a row of
+        self._stack = None  # the stacked kernel this agent was last a row of
 
     def payload(self, x=None, lam=None):
         """Shared components broadcast to neighbors (stage state override)."""
@@ -197,7 +194,7 @@ class Agent:
         for j, _w in self.neighbors:
             if j not in received:
                 raise ProtocolError(f"agent {self.id} missing payload from agent {j + 1}")
-        if self._own is None:
+        if self._own is None or self._own.agents[0] is not self.problem:
             self._own = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
         shape = (1, len(self.neighbors), self.depth)
         recv_x = np.array([received[j][0] for j, _ in self.neighbors], dtype=float)
@@ -219,34 +216,30 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
     if not laplacian_is_connected(problem.laplacian):
         raise InvalidInputError("the coupling graph must be connected")
     state = init if init is not None else initial_state(problem, "zeros")
-    agents = []
-    for i, ap in enumerate(problem.agents):
-        s = problem.block(i)
-        ms = problem.mu_block(i)
-        agents.append(
-            Agent(
-                agent_id=i + 1,
-                problem=ap,
-                depth=problem.depth,
-                gain=problem.gain,
-                neighbors=problem.neighbors[i],
-                capture_table=problem._capture_table[i],
-                x=state.x[s],
-                lam=state.lam[s],
-                mu=state.mu[ms],
-            )
-        )
-    for agent in agents:
-        agent._stack = problem.kernel
+    kernel, agents = problem.kernel, []
+    for i, (ap, s, ms) in enumerate(zip(kernel.agents, kernel.blocks, kernel.mu_blocks)):
+        agents.append(Agent(i + 1, ap, problem.depth, problem.gain, problem.neighbors[i],
+                            state.x[s], state.lam[s], state.mu[ms]))
+        agents[-1]._stack = kernel
     return agents
 
 
 def _stacked_kernel(agents) -> VelocityKernel:
-    """The kernel whose rows are ``agents``, compiled from their own data."""
+    """The kernel whose rows are ``agents``, compiled from their own data.
+
+    The agents must be listed in id order 1..N with every neighbor among
+    them, else ``ProtocolError``.  A kernel is reused only if it was
+    compiled from the agents' current problems, compared by identity.
+    """
+    n = len(agents)
+    if [a.id for a in agents] != list(range(1, n + 1)):
+        raise ProtocolError(f"agents must be listed in id order 1..{n}")
     kernel = agents[0]._stack
-    if kernel is None or len(kernel.blocks) != len(agents) or any(
-        a._stack is not kernel for a in agents
+    if kernel is None or len(kernel.agents) != n or any(
+        a._stack is not kernel or a.problem is not p for a, p in zip(agents, kernel.agents)
     ):
+        if any(j >= n for a in agents for j, _ in a.neighbors):
+            raise ProtocolError(f"a neighbor lies outside the {n} listed agents")
         kernel = VelocityKernel(
             [a.problem for a in agents], [a.neighbors for a in agents],
             agents[0].depth, agents[0].gain,
@@ -300,8 +293,9 @@ def _table_log(log):
 
 
 def _capture_rows(agents, capture):
-    """Each agent's own problem and capture table, for kink capture."""
-    return tuple((a.problem, a.capture_table) for a in agents) if capture else ()
+    """Each agent's own problem and kink table, for kink capture."""
+    kernel = _stacked_kernel(agents)
+    return tuple(zip(kernel.agents, kernel.kinks)) if capture else ()
 
 
 def synchronous_round(agents, h, method="rk4", capture=True, log=None):
