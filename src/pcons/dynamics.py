@@ -373,14 +373,14 @@ class VelocityKernel:
 
     ``agents`` are ``AgentProblem`` rows and ``neighbors[i]`` lists row i's
     (neighbor index, edge weight) pairs in ascending order.  The kernel
-    keeps its ``agents`` and derives all per-row data: the block and
-    multiplier slices, and each row's kink table ``kinks``, the (coordinate,
-    center) pairs of its objective's ``abs`` atoms on non-shared
-    coordinates, where kink capture may snap.  The arrays hold the
-    objective atoms in stacked coordinates, the constraint rows and one
-    objective value row per agent grouped by exact length, the constraint
-    rows as per-column subgradient entries, the neighbor table padded with
-    zero weights, and the stacked box bounds.
+    keeps its ``agents``, ``neighbors``, ``depth`` and ``gain`` and derives
+    all per-row data: the block and multiplier slices, and each row's kink
+    table ``kinks``, the (coordinate, center) pairs of its objective's
+    ``abs`` atoms on non-shared coordinates, where kink capture may snap.
+    The arrays hold the objective atoms in stacked coordinates, the
+    constraint rows and one objective value row per agent grouped by exact
+    length, the constraint rows as per-column subgradient entries, the
+    neighbor table padded with zero weights, and the stacked box bounds.
     ``evaluate`` applies one fixed sequence of numpy operations to every
     row; each row reads only its own block and the payloads delivered to
     it.  An objective that is not a ``ConvexExpr`` is asked for its own
@@ -389,6 +389,7 @@ class VelocityKernel:
 
     def __init__(self, agents, neighbors, depth, gain):
         self.agents = agents = tuple(agents)
+        self.neighbors = neighbors = tuple(tuple(nb) for nb in neighbors)
         self.depth, self.gain, self.twice_gain = depth, gain, 2.0 * gain
         dims = [a.dim for a in agents]
         sizes = [a.constraints.size for a in agents]

@@ -9,8 +9,9 @@ sends the shared components of (x_i, lambda_i) along its edges,
 followed by one call of the compiled velocity kernel on every agent's
 row, which receives its payloads through the gather index of the
 centralized stage.  An agent keeps only its own problem, neighbors and
-state; the kernel, whose rows are the agents in id order, derives each
-row's slices and kink table from the agents' current problems.  A row
+state; the kernel, whose rows are the agents in id order, is compiled
+from the agents' current problems, neighbors, depth and gain, and
+derives each row's slices and kink table from them.  A row
 reads only its own block and the payloads delivered to it, and kink
 capture reads only the agent's own problem, so the run reproduces the
 centralized trajectory bit for bit.  The "network" is an in-process
@@ -159,9 +160,10 @@ class Agent:
 
     ``neighbors`` lists (0-based neighbor index, edge weight) in
     ascending index order; the weights are the negated off-diagonal
-    Laplacian entries, so they are positive.  ``problem`` may be
-    reassigned: a kernel compiled from an earlier problem is not reused,
-    and the kink table comes from the kernel, so it follows the problem.
+    Laplacian entries, so they are positive.  ``problem``, ``neighbors``,
+    ``depth`` and ``gain`` may be reassigned: a kernel compiled from
+    earlier values is not reused, and the kink table comes from the
+    kernel, so it follows the problem.
     """
 
     def __init__(self, agent_id, problem, depth, gain, neighbors, x, lam, mu):
@@ -194,7 +196,7 @@ class Agent:
         for j, _w in self.neighbors:
             if j not in received:
                 raise ProtocolError(f"agent {self.id} missing payload from agent {j + 1}")
-        if self._own is None or self._own.agents[0] is not self.problem:
+        if self._own is None or not _compiled_from(self._own, [self]):
             self._own = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
         shape = (1, len(self.neighbors), self.depth)
         recv_x = np.array([received[j][0] for j, _ in self.neighbors], dtype=float)
@@ -224,22 +226,40 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
     return agents
 
 
+def _compiled_from(kernel, agents) -> bool:
+    """Whether ``kernel``'s rows were compiled from ``agents``' current
+    problems (compared by identity), neighbors, depth and gain."""
+    return len(kernel.agents) == len(agents) and all(
+        a.problem is p and tuple(a.neighbors) == nb
+        and a.depth == kernel.depth and a.gain == kernel.gain
+        for a, p, nb in zip(agents, kernel.agents, kernel.neighbors)
+    )
+
+
 def _stacked_kernel(agents) -> VelocityKernel:
     """The kernel whose rows are ``agents``, compiled from their own data.
 
     The agents must be listed in id order 1..N with every neighbor among
-    them, else ``ProtocolError``.  A kernel is reused only if it was
-    compiled from the agents' current problems, compared by identity.
+    them, and agree on the depth and the gain, else ``ProtocolError``.  A
+    kernel is reused only if it was compiled from the agents' current
+    problems, neighbors, depth and gain.
     """
     n = len(agents)
     if [a.id for a in agents] != list(range(1, n + 1)):
         raise ProtocolError(f"agents must be listed in id order 1..{n}")
     kernel = agents[0]._stack
-    if kernel is None or len(kernel.agents) != n or any(
-        a._stack is not kernel or a.problem is not p for a, p in zip(agents, kernel.agents)
-    ):
+    stale = kernel is None or any(a._stack is not kernel for a in agents)
+    if stale or not _compiled_from(kernel, agents):
         if any(j >= n for a in agents for j, _ in a.neighbors):
             raise ProtocolError(f"a neighbor lies outside the {n} listed agents")
+        for field in ("depth", "gain"):
+            first = getattr(agents[0], field)
+            for a in agents:
+                if getattr(a, field) != first:
+                    raise ProtocolError(
+                        f"agents disagree on the {field}: agent 1 has {first!r}, "
+                        f"agent {a.id} has {getattr(a, field)!r}"
+                    )
         kernel = VelocityKernel(
             [a.problem for a in agents], [a.neighbors for a in agents],
             agents[0].depth, agents[0].gain,

@@ -10,15 +10,32 @@ product grid, at a fraction of the cost, and shares no code path with
 the flow it is used to check.
 
 Each agent's S x P mesh (S shared points, P free points) is scanned in
-blocks of whole shared rows of at most ``_BLOCK_POINTS`` points, so the
-working memory is one block plus arrays of length S and P, not S*P.
-``MAX_GRID_POINTS`` therefore bounds the time of a search, and it is
-checked for every agent before any agent is evaluated.
+blocks of whole shared rows.  The S shared rows are split into w
+contiguous stripes that are scanned at the same time: the calling thread
+scans the first and a helper thread each other one, every agent in
+agent order over the stripe's own rows.  w is the number of CPUs the
+process may run on (its affinity set, else ``os.cpu_count()``), but no
+more than S or the smallest per-agent row budget ``_BLOCK_POINTS // P``;
+with w = 1 no thread is started.  A stripe's blocks hold at most
+``(_BLOCK_POINTS // P) // w`` rows, so the points in flight across all
+stripes stay within one block of ``_BLOCK_POINTS`` points, and the
+working memory is that plus arrays of length S and P, not S*P.  Each
+helper runs in a copy of the caller's context, so the caller's
+``np.errstate`` holds in it, and every helper is joined before the
+search returns or raises.  Each row's values come from the same
+``value_many`` calls on (rows, P, dim) blocks, the rows' totals add the
+agents' best values in agent order, and stripes write disjoint rows, so
+points and values do not depend on the worker count or the block size.
+``MAX_GRID_POINTS`` bounds the time of a search, and it is checked for
+every agent before any agent is evaluated.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -73,6 +90,23 @@ def _shared_bounds(problem: ProblemInstance):
     return lo, hi
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else ``os.cpu_count()``; never fewer than 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _stripes(S: int, budgets) -> list:
+    """Edges of the contiguous stripes that the S shared rows are scanned
+    in, at the same time: one per usable CPU, but never more than S or
+    the smallest per-agent row budget."""
+    w = max(1, min(_usable_cpus(), S, *budgets))
+    return [S * k // w for k in range(w + 1)]
+
+
 def _search(problem, shared_axes, free_axes_per_agent):
     """Best value over the product of the given axes; None when infeasible."""
     depth = problem.depth
@@ -84,35 +118,71 @@ def _search(problem, shared_axes, free_axes_per_agent):
                 f"grid too fine: {S}x{P} evaluations for one agent exceeds {MAX_GRID_POINTS}"
             )
     shared_mesh = _mesh(shared_axes)  # (S, depth)
+    free_meshes = [_mesh(free_axes) for free_axes in free_axes_per_agent]  # (P, n_free)
+    # rows of one block per agent; the w stripes share that budget, so the
+    # points in flight stay within one block of _BLOCK_POINTS
+    budgets = [_BLOCK_POINTS // m.shape[0] for m in free_meshes]
+    edges = _stripes(S, budgets)
+    w = len(edges) - 1
     total = np.zeros(S)
-    argmins = []
-    for agent, free_axes in zip(problem.agents, free_axes_per_agent):
-        free_mesh = _mesh(free_axes)  # (P, n_free)
-        P = free_mesh.shape[0]
-        rows = max(1, _BLOCK_POINTS // P)
-        # only the shared columns change from block to block
-        buf = np.empty((min(rows, S), P, agent.dim))
-        buf[:, :, depth:] = free_mesh
-        best_idx = np.empty(S, dtype=np.intp)
-        for a in range(0, S, rows):
-            b = min(a + rows, S)
-            pts = buf[: b - a]
-            pts[:, :, :depth] = shared_mesh[a:b, None, :]
-            values = agent.objective.value_many(pts)
-            # infeasible points, a NaN constraint value among them, score inf
-            for comp in agent.constraints.components:
-                values[~(comp.value_many(pts) <= 0.0)] = np.inf
-            best_idx[a:b] = np.argmin(values, axis=1)
-            total[a:b] += values[np.arange(b - a), best_idx[a:b]]
-        argmins.append((free_mesh, best_idx))
+    best_idx = [np.empty(S, dtype=np.intp) for _ in free_meshes]
+    failed = threading.Event()  # a stripe raised: the others stop at their next block
+    errors = []
+
+    def scan(lo, hi):
+        """Every agent, in agent order, over the shared rows [lo, hi)."""
+        for agent, free_mesh, budget, best in zip(problem.agents, free_meshes, budgets, best_idx):
+            rows = max(1, budget // w)
+            # only the shared columns change from block to block
+            buf = np.empty((min(rows, hi - lo), free_mesh.shape[0], agent.dim))
+            buf[:, :, depth:] = free_mesh
+            for a in range(lo, hi, rows):
+                if failed.is_set():
+                    return
+                b = min(a + rows, hi)
+                pts = buf[: b - a]
+                pts[:, :, :depth] = shared_mesh[a:b, None, :]
+                values = agent.objective.value_many(pts)
+                # infeasible points, a NaN constraint value among them, score inf
+                for comp in agent.constraints.components:
+                    values[~(comp.value_many(pts) <= 0.0)] = np.inf
+                best[a:b] = np.argmin(values, axis=1)
+                total[a:b] += values[np.arange(b - a), best[a:b]]
+
+    def helper(lo, hi):
+        try:
+            scan(lo, hi)
+        except BaseException as exc:
+            failed.set()
+            errors.append(exc)
+
+    # the caller scans the first stripe and a helper thread each other one
+    # (none when w == 1), in a copy of the caller's context, which carries
+    # its np.errstate; every helper started is joined, however this ends
+    helpers = []
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(helper, lo, hi))
+            thread.start()
+            helpers.append(thread)
+        scan(edges[0], edges[1])
+    except BaseException:
+        failed.set()
+        raise
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     if not np.any(np.isfinite(total)):
         return None
     s_best = int(np.argmin(total))
     point = np.empty(problem.total_dim)
-    for i, (free_mesh, best_idx) in enumerate(argmins):
+    for i, (free_mesh, best) in enumerate(zip(free_meshes, best_idx)):
         s = problem.block(i)
         point[s][:depth] = shared_mesh[s_best]
-        point[s][depth:] = free_mesh[best_idx[s_best]]
+        point[s][depth:] = free_mesh[best[s_best]]
     return point, float(total[s_best])
 
 

@@ -146,6 +146,18 @@ class TestOracleCommand:
         gap = float(next(l for l in out.splitlines() if l.startswith("gap")).split(":")[1])
         assert abs(gap) <= 5e-3
 
+    def test_output_does_not_depend_on_the_stripe_count(self, tmp_path, capsys, monkeypatch):
+        summary = tmp_path / "summary.txt"
+        summary.write_text("objective: 0.7500123\n", encoding="utf-8")
+        argv = ["oracle", EX2, "--grid", "5e-4", "--refine", "2", "--compare", str(summary)]
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(pcons.oracle, "_usable_cpus", lambda: cpus)
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert "gap (solver - oracle):" in outs[0]
+        assert outs[1] == outs[0]
+
     def test_single_agent(self, capsys):
         assert main(["oracle", QUAD, "--grid", "0.001"]) == 0
         out = capsys.readouterr().out

@@ -227,6 +227,73 @@ class TestLocalityAndFreeze:
         assert agents[1].x[0] != 99.0
 
 
+class TestReassignedAgentData:
+    """A cached kernel follows reassigned neighbors, depth and gain."""
+
+    @staticmethod
+    def _reassign(agents, field):
+        if field == "neighbors":
+            agents[1].neighbors = ((0, 1.0),)  # agent 2 no longer hears agent 3
+            return
+        for a in agents:
+            setattr(a, field, {"depth": 2, "gain": 100.0}[field])
+
+    @staticmethod
+    def _problem_and_state():
+        # every agent has two shared-capable coordinates, so depth 2 is valid
+        agents = [
+            AgentProblem(objective=convex.quadratic(2, 0, center=0.5)
+                         + convex.absolute(2, 1, center=-0.3)),
+            AgentProblem(objective=convex.quadratic(3, 1, center=1.0)
+                         + convex.absolute(3, 2, center=0.2),
+                         constraints=convex.ConstraintMap((convex.affine([1.0, 1.0, 0.0], -0.5),))),
+            AgentProblem(objective=convex.absolute(2, 0, center=0.7)
+                         + convex.quadratic(2, 1, center=0.1)),
+        ]
+        p = ProblemInstance(agents, PATH_L3, 1)
+        rng = np.random.default_rng(11)
+        init = initial_state(p, "zeros")
+        init.x, init.lam = rng.standard_normal(7), rng.standard_normal(7)
+        return p, init
+
+    @staticmethod
+    def _velocities(agents):
+        received = {a.id - 1: a.payload() for a in agents}
+        return [a.local_velocity(a.x, a.lam, a.mu, received) for a in agents]
+
+    @pytest.mark.parametrize("field", ["neighbors", "depth", "gain"])
+    def test_a_reassigned_field_recompiles_the_kernels(self, field):
+        p, init = self._problem_and_state()
+        cached, fresh, untouched = (build_agents(p, init) for _ in range(3))
+        self._velocities(cached)  # compiles and caches each one-agent kernel
+        for agents in (cached, fresh):
+            self._reassign(agents, field)
+        for a in fresh:
+            a._stack = a._own = None
+        for got, want in zip(self._velocities(cached), self._velocities(fresh)):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        for agents in (cached, fresh, untouched):
+            synchronous_round(agents, 1e-2, "euler")
+        for name in ("x", "lam", "mu"):
+            got, want = (np.concatenate([getattr(a, name) for a in agents])
+                         for agents in (cached, fresh))
+            assert got.tobytes() == want.tobytes()
+        assert any(
+            not np.array_equal(getattr(a, name), getattr(b, name))
+            for a, b in zip(cached, untouched) for name in ("x", "lam")
+        )
+
+    @pytest.mark.parametrize("field, value", [("depth", 2), ("gain", 100.0)])
+    def test_agents_that_disagree_are_rejected(self, field, value):
+        p, init = self._problem_and_state()
+        agents = build_agents(p, init)
+        setattr(agents[2], field, value)
+        with pytest.raises(ProtocolError, match=f"disagree on the {field}: .* agent 3 has"):
+            synchronous_round(agents, 1e-2, "euler")
+        assert all(a.round_index == 0 for a in agents)
+
+
 class TestStateValidation:
     def test_run_decentralized_rejects_wrong_length_state(self, example2):
         state = SolverState(np.ones(2), np.zeros(5), np.zeros(3))

@@ -1,5 +1,11 @@
 """Grid-oracle ground truth, independent of the flow."""
+import importlib.util
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -516,3 +522,172 @@ def test_refine_past_the_normal_floats_is_refused_up_front(example2, recwarn):
 def test_refine_that_stays_normal_still_runs(example2):
     _, value = brute_force_solve(example2.problem, grid=1e-2, refine=300)
     assert value == pytest.approx(0.75, abs=1e-9)
+
+
+# -- the striped scan: shared rows split across threads ---------------------
+
+
+def _cpus(count):
+    """Force the oracle's count of usable CPUs, and so its stripe count."""
+    return mock.patch.object(oracle, "_usable_cpus", return_value=count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_cases(), st.integers(1, 4))
+def test_striped_search_matches_whole_mesh_reference(case, cpus):
+    # a budget of cpus blocks leaves each stripe about the drawn block, so
+    # most cases scan several stripes, unequal where cpus does not divide S
+    problem, shared_axes, free_axes_per_agent, block = case
+    with _cpus(cpus):
+        _assert_search_matches_reference(problem, shared_axes, free_axes_per_agent, block * cpus)
+
+
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert oracle._usable_cpus() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(), raising=False)
+    assert oracle._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("count, expected", [(6, 6), (1, 1), (None, 1)])
+def test_usable_cpus_without_affinity_fall_back_to_the_cpu_count(monkeypatch, count, expected):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert oracle._usable_cpus() == expected
+
+
+@pytest.mark.parametrize("cpus, S, budgets, edges", [
+    (1, 10, [100], [0, 10]),
+    (2, 10, [100], [0, 5, 10]),
+    (4, 10, [100, 50], [0, 2, 5, 7, 10]),
+    (8, 3, [100], [0, 1, 2, 3]),           # no more stripes than rows
+    (8, 100, [100, 2], [0, 50, 100]),      # nor than the smallest row budget
+    (4, 100, [0], [0, 100]),               # a free mesh larger than a block
+    (4, 1, [100], [0, 1]),
+])
+def test_stripes(cpus, S, budgets, edges):
+    with _cpus(cpus):
+        assert oracle._stripes(S, budgets) == edges
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_brute_force_memory_is_bounded_by_the_block_on_several_stripes(cpus):
+    with _cpus(cpus):
+        test_brute_force_memory_is_bounded_by_the_block()
+
+
+def _load_generate():
+    """perfbench/generate.py as a module, without writing bytecode there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "dont_write_bytecode", True):
+        spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_cases():
+    """(problem, grid, refine) of the benchmark's oracle-grid commands."""
+    yield pcons.parse_problem(pcons.fixture_path("example2.json"), slater_probe=False), 5e-4, 2
+    generate = _load_generate()
+    for k in range(3):
+        doc, grid = generate.oracle_problem(1, k)
+        yield pcons.parse_problem_dict(doc, slater_probe=False), grid, 2
+
+
+def test_brute_force_does_not_depend_on_the_stripe_count():
+    for loaded, grid, refine in _oracle_cases():
+        found = []
+        for cpus in (1, 2):
+            with _cpus(cpus):
+                found.append(brute_force_solve(loaded.problem, grid=grid, refine=refine))
+        assert _same_bits(found[1], found[0]), (found, grid)
+
+
+def test_more_stripes_than_cores_under_frequent_thread_switches(example2):
+    # stripes write disjoint slices of shared arrays: a lost or misplaced
+    # write would change a point or a value
+    with mock.patch.object(oracle, "_search", _reference_search):
+        expected = brute_force_solve(example2.problem, grid=2e-3, refine=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpus(8), mock.patch.object(oracle, "_BLOCK_POINTS", 4096):
+            found = brute_force_solve(example2.problem, grid=2e-3, refine=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _same_bits(found, expected)
+
+
+def _fail_in(stripe_thread, exc):
+    """A value_many that raises ``exc`` in the caller's thread ("caller")
+    or in a helper thread ("helper") and evaluates as usual elsewhere."""
+    real = convex.ConvexExpr.value_many
+
+    def value_many(self, pts):
+        in_caller = threading.current_thread() is threading.main_thread()
+        if in_caller == (stripe_thread == "caller"):
+            raise exc
+        return real(self, pts)
+
+    return value_many
+
+
+@pytest.mark.parametrize("stripe_thread", ["helper", "caller"])
+def test_a_failing_stripe_propagates_and_every_helper_is_joined(
+    example2, monkeypatch, stripe_thread
+):
+    before = threading.active_count()
+    with _cpus(2):
+        assert brute_force_solve(example2.problem, grid=1e-2)[1] == 0.75
+        assert threading.active_count() == before
+        boom = RuntimeError(f"{stripe_thread} stripe failed")
+        monkeypatch.setattr(convex.ConvexExpr, "value_many", _fail_in(stripe_thread, boom))
+        with pytest.raises(RuntimeError) as raised:
+            brute_force_solve(example2.problem, grid=1e-2)
+    assert raised.value is boom
+    assert threading.active_count() == before
+
+
+def _overflowing_instance():
+    """The instance of test_blocked_search_where_a_constraint_overflows."""
+    overflow = convex.exponential(2, 1, const=-5.0)
+    nan = convex.affine([0.0, -1e307]) + convex.exponential(2, 1)
+    problem = ProblemInstance(
+        [
+            _one_free_agent([overflow]),
+            AgentProblem(
+                objective=convex.absolute(2, 1, center=1000.0) + convex.affine([1.0, 0.0]),
+                constraints=convex.ConstraintMap((nan,)),
+            ),
+        ],
+        _path_laplacian(2),
+        1,
+    )
+    return problem, [_grid_axis(0.0, 0.25, 5)], [[_grid_axis(-2.0, 7.5, 140)]] * 2
+
+
+def test_helpers_run_under_the_callers_errstate(monkeypatch):
+    problem, shared, free = _overflowing_instance()
+    seen = []
+    real = convex.ConvexExpr.value_many
+
+    def value_many(self, pts):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return real(self, pts)
+
+    monkeypatch.setattr(convex.ConvexExpr, "value_many", value_many)
+    with _cpus(2), mock.patch.object(oracle, "_BLOCK_POINTS", 280):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            oracle._search(problem, shared, free)
+        seen.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.geterr()
+                point, _ = oracle._search(problem, shared, free)
+    assert point[1] == -2.0 and point[3] == 703.0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert {in_caller for in_caller, _ in seen} == {True, False}
+    assert all(errs == expected for _, errs in seen)
