@@ -119,10 +119,7 @@ def _write_summary(path, problem, trajectory, mode, method, h):
         f"steps: {trajectory.total_steps}",
         f"objective: {_fmt(problem.objective_value(final.x))}",
         f"consensus_spread: {_fmt(_consensus_spread(problem, final.x))}",
-        f"res_stationarity: {_fmt(res.stationarity)}",
-        f"res_consensus: {_fmt(res.consensus)}",
-        f"res_complementarity: {_fmt(res.complementarity)}",
-        f"res_feasibility: {_fmt(res.feasibility)}",
+        *(f"res_{name}: {_fmt(value)}" for name, value in vars(res).items()),
         f"box_violation: {_fmt(problem.box_violation(final.x))}",
         "x: " + " ".join(_fmt(v) for v in final.x),
         "lambda: " + " ".join(_fmt(v) for v in final.lam),

@@ -179,7 +179,7 @@ class ConvexExpr:
         return affine(np.zeros(dim), 0.0)
 
     def _check_arity(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _reals(x, "expression argument")
         if x.shape != (self.dim,):
             raise InvalidInputError(
                 f"expression on R^{self.dim} evaluated at vector of shape {x.shape}"
@@ -211,14 +211,15 @@ class ConvexExpr:
     def value_many(self, points) -> np.ndarray:
         """Vectorized ``value`` over an array of shape (..., dim).
 
-        Never writes into ``points``.  Each atom family gathers one copy
+        ``points`` must be real numbers (``errors._reals``).  Never
+        writes into ``points``.  Each atom family gathers one copy
         of its columns and updates it in place, and the total grows in
         place.  The values are bit for bit those of ``points @ lin +
         const`` plus each family's ``terms @ weights``, added in that
         order (``_weighted_sum`` says how a one-column sum keeps them).
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.dim:
+        pts = _reals(points, "expression points")
+        if pts.shape[-1:] != (self.dim,):
             raise InvalidInputError(
                 f"expression on R^{self.dim} evaluated on points of shape {pts.shape}"
             )

@@ -39,7 +39,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import accumulate
 
 import numpy as np
@@ -62,6 +62,10 @@ DIVERGENCE_NORM = 1e12
 SNAP_VELOCITY_TOL = 1e-9
 
 METHODS = ("euler", "rk4")
+
+#: with at most this many kinks, capture skips its numpy pass (about 7 us
+#: on a 2-core x86_64 VM) and tests each kink row (about 1.7 us a row)
+_FEW_KINKS = 4
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class ProblemInstance:
 
         self._block_slices = _slices(self.dims.dims)
         self._mu_slices = _slices([a.constraints.size for a in self.agents])
-        self.multiplier_dim = self._mu_slices[-1].stop
+        self.total_dim, self.multiplier_dim = self.dims.total, self._mu_slices[-1].stop
 
         lap = self.laplacian
         self.neighbors = tuple(
@@ -127,10 +131,6 @@ class ProblemInstance:
         )
         if slater_probe:
             self._probe_slater()
-
-    @property
-    def total_dim(self) -> int:
-        return self.dims.total
 
     @cached_property
     def kernel(self) -> "VelocityKernel":
@@ -376,7 +376,9 @@ class VelocityKernel:
     keeps its ``agents``, ``neighbors``, ``depth`` and ``gain`` and derives
     all per-row data: the block and multiplier slices, and each row's kink
     table ``kinks``, the (coordinate, center) pairs of its objective's
-    ``abs`` atoms on non-shared coordinates, where kink capture may snap.
+    ``abs`` atoms on non-shared coordinates, where kink capture may snap,
+    also flattened into ``kink_coord`` (stacked), ``kink_center`` and
+    ``kink_row`` for ``capture``.
     The arrays hold the objective atoms in stacked coordinates, the
     constraint rows and one objective value row per agent grouped by exact
     length, the constraint rows as per-column subgradient entries, the
@@ -401,6 +403,12 @@ class VelocityKernel:
             tuple((k, c) for k, c in a.objective.kink_locations() if k >= depth)
             for a in agents
         )
+        coord, self.kink_center, row = np.array(
+            [(s.start + k, c, i) for i, (t, s) in enumerate(zip(self.kinks, self.blocks))
+             for k, c in t], dtype=float).reshape(-1, 3).T
+        self.kink_coord, self.kink_row = coord.astype(int), row.astype(int)
+        self._kink_rows = tuple(i for i, t in enumerate(self.kinks) if t)
+        self._alone = cache(lambda i: _uncoupled(agents[i], gain))  # compiled on first use
         self.lower = np.concatenate([a.box.lower for a in agents])
         self.upper = np.concatenate([a.box.upper for a in agents])
 
@@ -607,6 +615,56 @@ class VelocityKernel:
         i = next(i for i, blk in enumerate(blocks) if k < blk.stop)
         return f"agent {i + 1}, {field}_{k - blocks[i].start + 1}"
 
+    def capture(self, x, x_prev, v, mu, h) -> bool:
+        """Kink capture, in place, on the stacked x of a step from ``x_prev``
+        with stage-1 velocity ``v`` and new multipliers ``mu``: a flagged
+        row (one vectorised ``_near_kink`` pass flags them, or every kink
+        row with at most ``_FEW_KINKS`` kinks) runs ``_snap`` on its kink
+        table.  Returns whether a snap was kept."""
+        rows = self._kink_rows
+        if len(self.kink_row) > _FEW_KINKS:
+            k = self.kink_coord
+            near = _near_kink(x[k], x_prev[k], v[k], self.kink_center, h)
+            rows = dict.fromkeys(self.kink_row[near].tolist())
+        changed = False
+        for i in rows:
+            s, ms = self.blocks[i], self.mu_blocks[i]
+            changed |= _snap(self.kinks[i], x[s], x_prev[s], v[s], mu[ms], h,
+                             partial(self._alone, i))
+        return changed
+
+
+def _uncoupled(agent, gain) -> VelocityKernel:
+    """``agent`` compiled without coupling: its dx at a non-shared
+    coordinate is its row's in any kernel, bit for bit."""
+    return VelocityKernel([agent], [()], 0, gain)
+
+
+def _near_kink(x, x_prev, v, center, h):
+    """Whether a step from ``x_prev`` to ``x`` with velocity ``v`` may snap
+    x onto the kink at ``center``: x is off it, and the step crossed it
+    or ended within h*|v| + 1e-12 of it.  Elementwise, or on one entry."""
+    d = x - center
+    return (x != center) & (((x_prev - center) * d < 0.0) | (abs(d) <= h * abs(v) + 1e-12))
+
+
+def _snap(table, x, x_prev, v, mu, h, alone) -> bool:
+    """Snap one row's block ``x`` onto its ``table``'s kinks, in place, in
+    table order; a snap is kept only if the ``_uncoupled`` kernel
+    ``alone()`` gives it a velocity of at most ``SNAP_VELOCITY_TOL``."""
+    changed, check = False, None
+    for k, center in table:
+        xk = x[k]
+        if not _near_kink(xk, x_prev[k], v[k], center, h):
+            continue
+        x[k] = center
+        check, none = check or alone(), np.empty((1, 0, 0))  # no payloads reach it
+        if abs(check.evaluate(x, x, mu, none, none)[0][k]) <= SNAP_VELOCITY_TOL:
+            changed = True
+        else:
+            x[k] = xk
+    return changed
+
 
 def _gather_stage(kernel, z, n=0):
     """The centralized stage evaluator: the packed velocity at the packed
@@ -701,7 +759,7 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
 # -- stepping ----------------------------------------------------------------
 
 
-def _step(kernel, stage, rows, z, k1, n, t, h, method):
+def _step(kernel, stage, capture, z, k1, n, t, h, method):
     """One explicit step of step index ``n`` from the packed state ``z`` at t.
 
     ``stage(z, n)`` returns the packed velocity (dz, g) at a packed stage
@@ -710,8 +768,8 @@ def _step(kernel, stage, rows, z, k1, n, t, h, method):
     puts in the non-shared dlambda slots leaves those lambda entries
     bit for bit.  A non-finite result raises ``NumericalError`` naming
     the first non-finite entry and carrying the state at t; after that
-    check each (AgentProblem, capture table) of ``rows``, one per kernel
-    row, snaps its kink coordinates.  Returns the new packed state.
+    check, with ``capture`` on, ``VelocityKernel.capture`` snaps the new
+    x onto its kinks.  Returns the new packed state.
     """
     if k1 is None:
         k1 = stage(z, n)
@@ -729,11 +787,9 @@ def _step(kernel, stage, rows, z, k1, n, t, h, method):
         where = kernel.locate(int(np.argmin(finite)))
         raise NumericalError(f"non-finite state produced at t={t + h}: {where}",
                              state=SolverState(*kernel.split(z), t), t=t + h)
-    x, _, _ = kernel.split(z)
-    new_x, _, new_mu = kernel.split(new)
-    for (agent, table), s, ms in zip(rows, kernel.blocks, kernel.mu_blocks):
-        if table:
-            capture_agent_kinks(agent, table, new_x[s], x[s], v1[s], new_mu[ms], h, kernel.gain)
+    if capture:
+        new_x, _, new_mu = kernel.split(new)
+        kernel.capture(new_x, kernel.split(z)[0], v1, new_mu, h)
     return new
 
 
@@ -742,48 +798,16 @@ def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "
     _check_settings(h, method)
     z = _packed_state(state, problem)
     kernel = problem.kernel
-    new = _step(kernel, partial(_gather_stage, kernel), (), z, None, 0, state.t, h, method)
+    new = _step(kernel, partial(_gather_stage, kernel), False, z, None, 0, state.t, h, method)
     return SolverState(*kernel.split(new), state.t + h)
 
 
-def _snapped_coordinate_velocity(agent, xi, mi, local_k, gain):
-    """dx of one non-shared coordinate; couplings do not reach it."""
-    g = agent.constraints.value(xi)
-    pp = np.maximum(mi + g, 0.0)
-    if agent.constraints.size:
-        base_k = float(agent.constraints.weighted_subgradient(xi, pp)[local_k])
-    else:
-        base_k = 0.0
-    flo, fhi = agent.objective.subgradient_interval(xi)
-    sel = min(max(-base_k, float(flo[local_k])), float(fhi[local_k]))
-    y = xi[local_k] - sel - base_k
-    proj = min(max(y, float(agent.box.lower[local_k])), float(agent.box.upper[local_k]))
-    return 2.0 * gain * (proj - xi[local_k])
-
-
 def capture_agent_kinks(agent, table, x_block, x_prev_block, k1_block, mu_block, h, gain):
-    """Snap kink coordinates of one agent's block, in place.
-
-    A coordinate qualifies when the step crossed its kink or ended
-    within h*|velocity| of it, and the snap is kept only if the snapped
-    coordinate is stationary.  Uses agent-local data only.
-    """
-    changed = False
-    for local_k, center in table:
-        xk = x_block[local_k]
-        if xk == center:
-            continue
-        band = h * abs(k1_block[local_k]) + 1e-12
-        crossed = (x_prev_block[local_k] - center) * (xk - center) < 0.0
-        if not (crossed or abs(xk - center) <= band):
-            continue
-        x_block[local_k] = center
-        v = _snapped_coordinate_velocity(agent, x_block, mu_block, local_k, gain)
-        if abs(v) <= SNAP_VELOCITY_TOL:
-            changed = True
-        else:
-            x_block[local_k] = xk
-    return changed
+    """Snap one agent's block onto the (coordinate, center) kinks of
+    ``table``, in place, as ``VelocityKernel.capture`` snaps a row.
+    Returns whether a snap was kept."""
+    return _snap(table, x_block, x_prev_block, k1_block, mu_block, h,
+                 partial(_uncoupled, agent, gain))
 
 
 #: values a ``Trajectory`` block holds, which keeps every block small
@@ -881,12 +905,12 @@ class Trajectory:
         return KKTResidual(*self._blocks[-1][-1, self._res].tolist())
 
 
-def _drive(problem, kernel, stage, rows, z, t0, h, method, t_max, kkt_tol, record_every):
+def _drive(problem, kernel, stage, capture, z, t0, h, method, t_max, kkt_tol, record_every):
     """The driver loop of both execution modes, from the packed state
     ``z = [x, lambda, mu]`` at t0.
 
     ``stage`` returns the packed velocity (dz, g) at a packed state and
-    ``rows`` holds the kink-capture data, both as ``_step`` takes them.
+    ``capture`` turns kink capture on, both as ``_step`` takes them.
     Every step starts with stage 1 at the current state; it gives the
     residual that stops the run and is reused by the step.  A recorded
     step writes z, t and the residuals into the trajectory's current
@@ -906,7 +930,7 @@ def _drive(problem, kernel, stage, rows, z, t0, h, method, t_max, kkt_tol, recor
             trajectory._record(t, z, res)
         if done:
             break
-        new = _step(kernel, stage, rows, z, k1, steps, t, h, method)
+        new = _step(kernel, stage, capture, z, k1, steps, t, h, method)
         if _norm(new) > DIVERGENCE_NORM:
             where = kernel.locate(int(np.argmax(np.abs(new))))
             raise DivergenceError(
@@ -948,8 +972,7 @@ def integrate(
     state = init if init is not None else initial_state(problem, "zeros")
     z = _packed_state(state, problem)
     kernel = problem.kernel
-    rows = tuple(zip(kernel.agents, kernel.kinks)) if capture_kinks else ()
-    return _drive(problem, kernel, partial(_gather_stage, kernel), rows, z, state.t,
+    return _drive(problem, kernel, partial(_gather_stage, kernel), capture_kinks, z, state.t,
                   h, method, t_max, kkt_tol, record_every)
 
 
@@ -1026,10 +1049,11 @@ def lyapunov_value(
 
     ``reference`` must be a near-equilibrium (its residual max-component
     at most ``ref_tol``), otherwise the quadratic comparison terms are
-    meaningless and ``InvalidInputError`` is raised.  Along a trajectory
-    of ``integrate`` the total is nonincreasing up to discretization
-    error.
+    meaningless and ``InvalidInputError`` is raised; so it is when
+    ``ref_tol`` is not a finite positive real.  Along a trajectory of
+    ``integrate`` the total is nonincreasing up to discretization error.
     """
+    ref_tol = _positive(ref_tol, "ref_tol")
     _check_state(state, problem)
     return _lyapunov(state, _lyapunov_reference(reference, problem, ref_tol), problem)
 

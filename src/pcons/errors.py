@@ -72,6 +72,8 @@ def _integer(value, what, least, error=InvalidInputError) -> int:
 def _all_real(value) -> bool:
     """True when ``value`` is a real number other than a bool, an integer or
     float ndarray, or lists and tuples of these at any depth."""
+    if type(value) is np.ndarray:  # the common case, decided by the dtype alone
+        return value.dtype.kind in "iuf"
     level = [value]
     while level:
         rows = []

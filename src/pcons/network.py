@@ -11,11 +11,12 @@ row, which receives its payloads through the gather index of the
 centralized stage.  An agent keeps only its own problem, neighbors and
 state; the kernel, whose rows are the agents in id order, is compiled
 from the agents' current problems, neighbors, depth and gain, and
-derives each row's slices and kink table from them.  A row
-reads only its own block and the payloads delivered to it, and kink
-capture reads only the agent's own problem, so the run reproduces the
-centralized trajectory bit for bit.  The "network" is an in-process
-simulation: rounds are lockstep, there is no loss or delay.
+derives each row's slices and kink table from them.  A row reads only
+its own block and the payloads delivered to it, and kink capture is the
+kernel's own (``VelocityKernel.capture``), which checks a snap with the
+agent's row compiled on its own, so the run reproduces the centralized
+trajectory bit for bit.  The "network" is an in-process simulation:
+rounds are lockstep, there is no loss or delay.
 
 One round is one step.  rk4 needs neighbor values at every stage state,
 so an rk4 round costs four exchanges; an Euler round costs one.
@@ -103,9 +104,9 @@ class MessageLog:
     payloads), the kernel's (receiver, sender) edge list and the payload
     table ``VelocityKernel.payloads`` returns: every row's shared x and
     lambda prefix.  No per-payload object is kept.  ``len()`` counts the
-    payloads; indexing and iteration build each ``Message`` on demand, in
-    the order of a list log: exchange by exchange, receiver by receiver,
-    neighbors ascending.
+    payloads; indexing, slicing and iteration build each ``Message`` on
+    demand, in the order of a list log: exchange by exchange, receiver by
+    receiver, neighbors ascending.  A slice is a list, as a list log's.
     """
 
     def __init__(self):
@@ -133,6 +134,8 @@ class MessageLog:
                 yield from run.messages(e, run.edges)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(self._count)[k]]
         k = range(self._count)[k]  # IndexError and negative indices as a list
         for run in self._runs:
             size = len(run.rounds) * len(run.edges)
@@ -189,22 +192,25 @@ class Agent:
         """Velocity of the own block from own data plus neighbor payloads.
 
         ``received`` maps neighbor index to (x_shared, lam_shared); a
-        missing payload is a protocol violation.  Runs the velocity kernel
-        on this agent's one-agent slice and returns (dx, dlambda_shared,
-        dmu, g).
+        missing payload, or a part that is not ``depth`` long, is a
+        protocol violation.  Runs the velocity kernel on this agent's
+        one-agent slice and returns (dx, dlambda_shared, dmu, g).
         """
         for j, _w in self.neighbors:
             if j not in received:
                 raise ProtocolError(f"agent {self.id} missing payload from agent {j + 1}")
+            for part, name in zip(received[j], ("x", "lambda")):
+                if np.shape(part) != (self.depth,):
+                    raise ProtocolError(f"agent {self.id} received a payload from agent {j + 1} "
+                                        f"whose {name} part has shape {np.shape(part)}, "
+                                        f"expected ({self.depth},)")
         if self._own is None or not _compiled_from(self._own, [self]):
             self._own = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
         shape = (1, len(self.neighbors), self.depth)
-        recv_x = np.array([received[j][0] for j, _ in self.neighbors], dtype=float)
-        recv_lam = np.array([received[j][1] for j, _ in self.neighbors], dtype=float)
+        recv_x, recv_lam = (np.array([received[j][p] for j, _ in self.neighbors],
+                                     dtype=float).reshape(shape) for p in (0, 1))
         dx, dlam, dmu, g = self._own.evaluate(
-            np.asarray(x, dtype=float), np.asarray(lam, dtype=float),
-            np.asarray(mu, dtype=float), recv_x.reshape(shape), recv_lam.reshape(shape),
-        )
+            *(np.asarray(v, dtype=float) for v in (x, lam, mu)), recv_x, recv_lam)
         return dx, dlam[0], dmu, g
 
 
@@ -313,7 +319,7 @@ def _table_log(log):
 
 
 def _capture_rows(agents, capture):
-    """Each agent's own problem and kink table, for kink capture."""
+    """Each agent's problem and kink table, as ``capture_agent_kinks`` takes them."""
     kernel = _stacked_kernel(agents)
     return tuple(zip(kernel.agents, kernel.kinks)) if capture else ()
 
@@ -336,8 +342,8 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
     z = np.concatenate([getattr(a, f) for f in ("x", "lam", "mu") for a in agents])
     with _table_log(log) as table:
         exchange = _Exchange(kernel, table)
-        x, lam, mu = kernel.split(_step(kernel, exchange.stage, _capture_rows(agents, capture),
-                                        z, None, rnd, rnd * h, h, method))
+        x, lam, mu = kernel.split(_step(kernel, exchange.stage, capture, z, None, rnd,
+                                        rnd * h, h, method))
     for agent, s, ms in zip(agents, kernel.blocks, kernel.mu_blocks):
         agent.x, agent.lam, agent.mu = x[s], lam[s], mu[ms]
         agent.round_index += 1
@@ -358,7 +364,7 @@ def run_decentralized(
     """Decentralized counterpart of ``integrate`` with identical results.
 
     The driver loop of ``integrate`` runs with an exchange as its stage
-    evaluator and each agent's own data for kink capture, so
+    evaluator and the stacked kernel's kink capture, so
     termination, recording, capture and a ``DivergenceError`` are those
     of the centralized run; additionally the trajectory carries the
     total number of directed payloads and the per-step cost.  Pass a
@@ -372,8 +378,8 @@ def run_decentralized(
     kernel = _stacked_kernel(agents)
     with _table_log(message_log) as table:
         exchange = _Exchange(kernel, table)
-        trajectory = _drive(problem, kernel, exchange.stage, _capture_rows(agents, capture_kinks),
-                            z, state.t, h, method, t_max, kkt_tol, record_every)
+        trajectory = _drive(problem, kernel, exchange.stage, capture_kinks, z, state.t, h,
+                            method, t_max, kkt_tol, record_every)
     trajectory.message_count = exchange.sent
     trajectory.messages_per_step = len(kernel.edges) * (1 if method == "euler" else 4)
     return trajectory

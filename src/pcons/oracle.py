@@ -80,11 +80,8 @@ def _mesh(axes) -> np.ndarray:
 
 def _shared_bounds(problem: ProblemInstance):
     depth = problem.depth
-    lo = np.full(depth, -np.inf)
-    hi = np.full(depth, np.inf)
-    for agent in problem.agents:
-        lo = np.maximum(lo, agent.box.lower[:depth])
-        hi = np.minimum(hi, agent.box.upper[:depth])
+    lo = np.max([agent.box.lower[:depth] for agent in problem.agents], axis=0)
+    hi = np.min([agent.box.upper[:depth] for agent in problem.agents], axis=0)
     if np.any(lo > hi):
         raise InvalidInputError("shared blocks of the agent boxes do not intersect")
     return lo, hi

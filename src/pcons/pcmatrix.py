@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, _integer
+from .errors import InvalidInputError, NumericalError, _integer, _reals
 
 #: eigenvalues below this fraction of max(1, largest eigenvalue) count as zero
 ZERO_EIGENVALUE_RTOL = 1e-9
@@ -163,16 +164,7 @@ class AgentDims:
     @property
     def offsets(self) -> tuple:
         """0-based start offset of each agent's block in the stacked vector."""
-        out, acc = [], 0
-        for d in self.dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
-
-    def block(self, i: int) -> slice:
-        """0-based slice of agent ``i`` (0-based) in the stacked vector."""
-        start = self.offsets[i]
-        return slice(start, start + self.dims[i])
+        return tuple(accumulate(self.dims[:-1], initial=0))
 
 
 def consensus_index_set(dims, depth: int):
@@ -188,11 +180,8 @@ def consensus_index_set(dims, depth: int):
         raise InvalidInputError(
             f"consensus depth {depth} outside 1..{dims.n_min} for dims {dims.dims}"
         )
-    shared = []
-    for off, d in zip(dims.offsets, dims.dims):
-        shared.extend(range(off + 1, off + depth + 1))
-    shared_set = set(shared)
-    complement = [k for k in range(1, dims.total + 1) if k not in shared_set]
+    shared = [off + r for off in dims.offsets for r in range(1, depth + 1)]
+    complement = sorted(set(range(1, dims.total + 1)).difference(shared))
     return OrderedIndexSet(shared), OrderedIndexSet(complement)
 
 
@@ -228,9 +217,14 @@ def normalize_laplacian(laplacian) -> np.ndarray:
 
 
 def laplacian_is_connected(laplacian) -> bool:
-    """True when the graph underlying the Laplacian is connected."""
-    lap = np.asarray(laplacian, dtype=float)
+    """True when the graph underlying the Laplacian is connected.
+
+    ``laplacian`` must be a square 2-d array of real numbers, else
+    ``InvalidInputError``."""
+    lap = _reals(laplacian, "Laplacian", 2)
     n = lap.shape[0]
+    if lap.shape != (n, n):
+        raise InvalidInputError(f"Laplacian must be square, got shape {lap.shape}")
     if n == 1:
         return True
     seen = {0}
@@ -312,8 +306,6 @@ def spectral_summary(pc: PartialConsensusMatrix) -> SpectralSummary:
     try:
         eigenvalues = np.linalg.eigvalsh(pc.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh on symmetric
-        from .errors import NumericalError
-
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     largest = float(eigenvalues[-1])
     tol = ZERO_EIGENVALUE_RTOL * max(1.0, abs(largest))
@@ -364,7 +356,5 @@ def permutation_matrix(size: int, subset) -> PermutationMatrix:
         raise InvalidInputError(f"subset {subset.entries} not contained in 1..{size}")
     rest = [k for k in range(1, size + 1) if k not in subset]
     omega = subset.entries + tuple(rest)
-    matrix = np.zeros((size, size))
-    for p, col in enumerate(omega):
-        matrix[p, col - 1] = 1.0
+    matrix = np.eye(size)[[col - 1 for col in omega]]  # row p is the unit vector at omega[p]
     return PermutationMatrix(matrix=matrix, subset=subset, size=size)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from itertools import chain
 from operator import itemgetter
@@ -269,35 +269,19 @@ def _shifted_var(coord, center):
 
 def format_expression(e: ConvexExpr) -> str:
     """Canonical string form; reparsing yields an equal expression."""
-    parts = []  # (negative, text)
-    for k, c, w in zip(e.quad_idx, e.quad_center, e.quad_weight):
-        text = f"({_shifted_var(k, c)})^2"
-        if w != 1.0:
-            text = f"{_fmt(w)}*{text}"
-        parts.append((False, text))
-    for k, c, w in zip(e.abs_idx, e.abs_center, e.abs_weight):
-        text = f"abs({_shifted_var(k, c)})"
-        if w != 1.0:
-            text = f"{_fmt(w)}*{text}"
-        parts.append((False, text))
-    for k, w in zip(e.exp_idx, e.exp_weight):
-        text = f"exp(x{k + 1})"
-        if w != 1.0:
-            text = f"{_fmt(w)}*{text}"
-        parts.append((False, text))
-    for k in np.flatnonzero(e.lin):
+    atoms = ([(f"({_shifted_var(k, c)})^2", w)
+              for k, c, w in zip(e.quad_idx, e.quad_center, e.quad_weight)]
+             + [(f"abs({_shifted_var(k, c)})", w)
+                for k, c, w in zip(e.abs_idx, e.abs_center, e.abs_weight)]
+             + [(f"exp(x{k + 1})", w) for k, w in zip(e.exp_idx, e.exp_weight)])
+    parts = [(False, text if w == 1.0 else f"{_fmt(w)}*{text}") for text, w in atoms]
+    for k in np.flatnonzero(e.lin):  # (negative, text)
         a = e.lin[k]
-        text = f"x{k + 1}" if abs(a) == 1.0 else f"{_fmt(abs(a))}*x{k + 1}"
-        parts.append((a < 0, text))
+        parts.append((a < 0, f"x{k + 1}" if abs(a) == 1.0 else f"{_fmt(abs(a))}*x{k + 1}"))
     if e.const != 0.0 or not parts:
         parts.append((e.const < 0, _fmt(abs(e.const))))
-    out = []
-    for i, (neg, text) in enumerate(parts):
-        if i == 0:
-            out.append(f"-{text}" if neg else text)
-        else:
-            out.append(f" - {text}" if neg else f" + {text}")
-    return "".join(out)
+    out = "".join((" - " if neg else " + ") + text for neg, text in parts)
+    return ("-" if parts[0][0] else "") + out[3:]
 
 
 # -- problem files -----------------------------------------------------------
@@ -433,12 +417,7 @@ def serialize_problem(problem: ProblemInstance, settings: SolverSettings = None)
         "consensus_depth": problem.depth,
     }
     if settings is not None:
-        doc["solver"] = {
-            "h": settings.h,
-            "method": settings.method,
-            "t_max": settings.t_max,
-            "kkt_tol": settings.kkt_tol,
-        }
+        doc["solver"] = asdict(settings)
     return doc
 
 
