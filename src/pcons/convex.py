@@ -14,10 +14,11 @@ are genuine equilibrium candidates for the projected dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConvexityError, InvalidInputError, _integer, _reals
+from .errors import ConvexityError, InvalidInputError, _integer, _positive, _reals
 
 #: a coordinate counts as sitting on an absolute-value kink below this distance
 KINK_TOLERANCE = 1e-12
@@ -179,12 +180,7 @@ class ConvexExpr:
         return affine(np.zeros(dim), 0.0)
 
     def _check_arity(self, x) -> np.ndarray:
-        x = _reals(x, "expression argument")
-        if x.shape != (self.dim,):
-            raise InvalidInputError(
-                f"expression on R^{self.dim} evaluated at vector of shape {x.shape}"
-            )
-        return x
+        return _reals(x, f"argument of an expression on R^{self.dim}", (self.dim,))
 
     @property
     def is_affine(self) -> bool:
@@ -281,8 +277,8 @@ class ConvexExpr:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return affine_sum(self, const=float(other))
+        if isinstance(other, Real):
+            return affine_sum(self, const=float(_reals(other, "added constant", 0)))
         if not isinstance(other, ConvexExpr):
             return NotImplemented
         if other.dim != self.dim:
@@ -292,16 +288,16 @@ class ConvexExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return affine_sum(self, const=-float(other))
+        if isinstance(other, Real):
+            return affine_sum(self, const=-float(_reals(other, "subtracted constant", 0)))
         if isinstance(other, ConvexExpr):
             return self + (-1.0) * other
         return NotImplemented
 
     def __mul__(self, factor):
-        if not isinstance(factor, (int, float)):
+        if not isinstance(factor, Real):
             return NotImplemented
-        return NormalForm.of(self).scale(float(factor)).freeze()
+        return NormalForm.of(self).scale(float(_reals(factor, "factor", 0))).freeze()
 
     __rmul__ = __mul__
 
@@ -328,8 +324,9 @@ class ConvexExpr:
 
 def affine(coefficients, const: float = 0.0) -> ConvexExpr:
     """c'x + b."""
-    c = np.asarray(coefficients, dtype=float)
-    return NormalForm(c.shape[0], c.tolist(), float(const)).freeze()
+    c = _reals(coefficients, "affine coefficients", 1, finite=True)
+    const = float(_reals(const, "affine constant", 0, finite=True))
+    return NormalForm(c.shape[0], c.tolist(), const).freeze()
 
 
 def affine_sum(expr: ConvexExpr, const: float) -> ConvexExpr:
@@ -342,9 +339,11 @@ def _atom(dim, family, coord, center, weight, const=0.0) -> ConvexExpr:
     dim, coord = _integer(dim, "dim", 1), _integer(coord, "coord", 0)
     if not 0 <= coord < dim:
         raise InvalidInputError(f"coordinate {coord} outside 0..{dim - 1}")
+    center, weight, const = (float(_reals(v, f"atom {name}", 0, finite=True)) for v, name
+                             in ((center, "center"), (weight, "weight"), (const, "constant")))
     if weight < 0:
         raise ConvexityError(f"atom weight must be nonnegative, got {weight}")
-    return NormalForm.atom(dim, family, coord, float(center), float(weight), float(const)).freeze()
+    return NormalForm.atom(dim, family, coord, center, weight, const).freeze()
 
 
 def quadratic(dim: int, coord: int, center: float = 0.0, weight: float = 1.0) -> ConvexExpr:
@@ -392,18 +391,20 @@ class Box:
     def is_bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
+    def _point(self, x) -> np.ndarray:
+        return _reals(x, f"point of a box in R^{self.dim}", (self.dim,))
+
     def project(self, x) -> np.ndarray:
         """Componentwise clamp, the Euclidean projection onto the box."""
-        x = np.asarray(x, dtype=float)
-        return np.minimum(np.maximum(x, self.lower), self.upper)
+        return np.minimum(np.maximum(self._point(x), self.lower), self.upper)
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
+        x, tol = self._point(x), _positive(tol, "tol", zero=True)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def violation(self, x) -> float:
         """Max-norm distance from the box (0 inside)."""
-        x = np.asarray(x, dtype=float)
+        x = self._point(x)
         return float(np.max(np.maximum(self.lower - x, 0.0) + np.maximum(x - self.upper, 0.0), initial=0.0))
 
     def sample(self, rng) -> np.ndarray:
@@ -431,7 +432,7 @@ def whole_space(dim: int) -> Box:
 
 def project_nonneg(u) -> np.ndarray:
     """Projection onto the nonnegative orthant."""
-    return np.maximum(np.asarray(u, dtype=float), 0.0)
+    return np.maximum(_reals(u, "projected vector"), 0.0)
 
 
 def in_normal_cone(box: Box, x, w, tol: float = 1e-9) -> bool:
@@ -441,8 +442,8 @@ def in_normal_cone(box: Box, x, w, tol: float = 1e-9) -> bool:
     projecting x + w lands back on x.  Requires x in the box (within
     ``tol``).
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
+    x = box._point(x)
+    w = _reals(w, f"normal vector of a box in R^{box.dim}", (box.dim,))
     if not box.contains(x, tol=tol):
         raise InvalidInputError("point is not inside the box")
     return float(np.linalg.norm(box.project(x + w) - x)) <= tol
@@ -479,9 +480,10 @@ class ConstraintMap:
 
     def weighted_subgradient(self, x, multipliers) -> np.ndarray:
         """sum_j multipliers_j * (selected subgradient of g_j)."""
-        x = np.asarray(x, dtype=float)
+        multipliers = _reals(multipliers, "multipliers", (self.size,))
+        x = _reals(x, "constraint argument", (self.dim,) if self.components else 1)
         out = np.zeros(x.shape[0])
-        for c, m in zip(self.components, np.asarray(multipliers, dtype=float)):
+        for c, m in zip(self.components, multipliers):
             if m != 0.0:
                 out += m * c.subgradient(x)
         return out

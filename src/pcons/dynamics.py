@@ -148,12 +148,7 @@ class ProblemInstance:
         return self._mu_slices[i]
 
     def _stacked(self, x) -> np.ndarray:
-        x = _reals(x, "stacked vector")
-        if x.shape != (self.total_dim,):
-            raise InvalidInputError(
-                f"stacked vector of shape {x.shape}, expected ({self.total_dim},)"
-            )
-        return x
+        return _reals(x, "stacked vector", (self.total_dim,))
 
     def objective_value(self, x) -> float:
         """Sum of the agents' objectives, added left to right from 0.0.
@@ -266,12 +261,18 @@ class _Atoms:
     add into.  ``slots`` splits the atoms into groups that never repeat a
     position, so adding the groups in turn accumulates duplicate atoms one
     at a time, in the order their expression lists them, exactly like the
-    scatter-add in ``ConvexExpr``.
+    scatter-add in ``ConvexExpr``.  An empty family keeps only its
+    ``size`` 0 and no ``slots``, and every reader skips it by its size.
     """
+
+    size, slots = 0, ()
 
     def __init__(self, parts, twice=False):
         # parts: (pos offset, coord offset, idx, center or None, weight)
-        pos, coord, center, weight = [], [], [], [np.empty(0)]
+        parts = [p for p in parts if len(p[2])]
+        if not parts:
+            return
+        pos, coord, center, weight = [], [], [], []
         for p0, c0, idx, cen, w in parts:
             pos.extend((p0 + idx).tolist())
             coord.extend((c0 + idx).tolist())
@@ -286,8 +287,8 @@ class _Atoms:
             rank.append(seen.get(p, 0))
             seen[p] = rank[-1] + 1
         pos, rank = np.asarray(pos, dtype=int), np.asarray(rank, dtype=int)
-        if rank.max(initial=0) == 0:
-            self.slots = ((pos, slice(None)),) if self.size else ()
+        if rank.max() == 0:
+            self.slots = ((pos, slice(None)),)
         else:
             self.slots = tuple((pos[rank == r], rank == r) for r in range(rank.max() + 1))
 
@@ -682,17 +683,10 @@ def _check_state(state, problem):
     finite real number.
     """
     n, m = problem.total_dim, problem.multiplier_dim
-    z = []
-    for name, arr, want in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m)):
-        arr = _reals(arr, f"state.{name}")
-        if arr.shape != (want,):
-            raise InvalidInputError(f"state.{name} has shape {arr.shape}, expected ({want},)")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError(f"state.{name} has non-finite entries")
-        z.append(arr.astype(float))
-    if not np.isfinite(_reals(state.t, "state time", 0)):
-        raise InvalidInputError(f"state time {state.t} is not finite")
-    return tuple(z)
+    z = tuple(_reals(arr, f"state.{name}", (want,), finite=True).copy() for name, arr, want
+              in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m)))
+    _reals(state.t, "state time", 0, finite=True)
+    return z
 
 
 def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1):
@@ -1002,8 +996,9 @@ def _v1(state: SolverState, problem: ProblemInstance) -> float:
 
 
 def _lyapunov_reference(reference: SolverState, problem: ProblemInstance, ref_tol: float):
-    """(reference, v1 at it, its selected subgradient): what the descent
-    function needs of a near-equilibrium, after checking its residual."""
+    """(reference as float arrays, v1 at it, its selected subgradient):
+    what the descent function needs of a near-equilibrium, after checking
+    its residual."""
     ref_res = kkt_residual(reference, problem)
     if ref_res.max_component > ref_tol:
         raise InvalidInputError(
@@ -1011,11 +1006,9 @@ def _lyapunov_reference(reference: SolverState, problem: ProblemInstance, ref_to
             "not a usable equilibrium"
         )
     kernel = problem.kernel
-    x_ref, lam_ref, mu_ref = _check_state(reference, problem)
-    grad_ref = kernel.selected_subgradient(
-        x_ref, lam_ref, mu_ref, *kernel.gathered(x_ref, lam_ref)
-    )
-    return reference, _v1(reference, problem), grad_ref
+    ref = SolverState(*_check_state(reference, problem), reference.t)
+    grad_ref = kernel.selected_subgradient(ref.x, ref.lam, ref.mu, *kernel.gathered(ref.x, ref.lam))
+    return ref, _v1(ref, problem), grad_ref
 
 
 def _lyapunov(state: SolverState, ref, problem: ProblemInstance) -> LyapunovValue:
@@ -1054,7 +1047,7 @@ def lyapunov_value(
     ``integrate`` the total is nonincreasing up to discretization error.
     """
     ref_tol = _positive(ref_tol, "ref_tol")
-    _check_state(state, problem)
+    state = SolverState(*_check_state(state, problem), state.t)
     return _lyapunov(state, _lyapunov_reference(reference, problem, ref_tol), problem)
 
 

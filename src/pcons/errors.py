@@ -1,6 +1,11 @@
 """Exception types shared across the package, and the checks that every
-entry point applies to a value from outside the program."""
+entry point applies to a value from outside the program: ``_positive``
+and ``_integer`` read one number, and ``_reals`` is the one reader of an
+array or a real number, its shape and, where asked, its finiteness.
+Nothing else converts an argument, so nothing is silently converted.
+"""
 import math
+import reprlib
 from itertools import chain
 from numbers import Integral, Real
 
@@ -53,10 +58,13 @@ class ProtocolError(RuntimeError):
     """Raised when the synchronous message protocol is violated."""
 
 
-def _positive(value, what) -> float:
-    """``value`` as a float; it must be a finite positive real, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{what} must be finite and positive, got {value!r}")
+def _positive(value, what, zero=False) -> float:
+    """``value`` as a float; it must be a finite positive real, not a bool.
+    With ``zero`` it may also be 0, as a tolerance may."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (0.0 <= value if zero else 0.0 < value) or not value < math.inf):
+        sign = "nonnegative" if zero else "positive"
+        raise InvalidInputError(f"{what} must be finite and {sign}, got {value!r}")
     return float(value)
 
 
@@ -89,22 +97,32 @@ def _all_real(value) -> bool:
     return True
 
 
-def _reals(value, what, ndim=None, error=InvalidInputError) -> np.ndarray:
-    """``value`` as a float array of ``ndim`` dimensions (any when None).
+def _reals(value, what, shape=None, error=InvalidInputError, finite=False) -> np.ndarray:
+    """``value`` as a float array of ``shape``: any shape when None, that
+    many dimensions when an int, that shape when a tuple, n by n when
+    ``"square"``.
 
     Every entry must be a real number, not a bool: Python and numpy ints
     and floats pass, and an integer or float ndarray passes by its dtype
-    alone.  Bools, complex numbers, strings, None, object arrays and
-    ragged rows raise ``error``, which a problem file sets to
-    ``ExpressionError``.  NaN and infinity pass, for the checks that know
-    what they mean.
+    alone.  Bools, complex numbers, strings, None, object arrays, ragged
+    rows and a wrong shape raise ``error`` (a problem file's is
+    ``ExpressionError``), and so do NaN and infinity when ``finite``, with
+    the message "<what> must <be or have what is expected>, got <what>".
     """
     try:
         arr = np.asarray(value, dtype=float) if _all_real(value) else None
     except (ValueError, TypeError, OverflowError):  # ragged rows, or too large
         arr = None
-    if arr is not None and ndim in (None, arr.ndim):
-        return arr
-    kind = ("real numbers" if ndim is None else "a number" if ndim == 0
-            else f"a {ndim}-d array of numbers")
-    raise error(f"{what} must be {kind}" + (f", got {value!r}" if ndim == 0 else ""))
+    if arr is None:
+        kind = "a real number" if shape == 0 else "real numbers"
+        raise error(f"{what} must be {kind}, got {reprlib.repr(value)}")
+    if shape is not None and not (
+            arr.ndim == shape if type(shape) is int else arr.shape == shape if shape != "square"
+            else arr.ndim == 2 and arr.shape[0] == arr.shape[1]):
+        want = ("be a single number" if shape == 0 else f"be a {shape}-d array"
+                if type(shape) is int else "be a square matrix" if shape == "square"
+                else f"have length {shape[0]}" if len(shape) == 1 else f"have shape {shape}")
+        raise error(f"{what} must {want}, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{what} must be finite, got non-finite entries")
+    return arr

@@ -47,7 +47,7 @@ from .dynamics import (
     _write_rows,
     initial_state,
 )
-from .errors import InvalidInputError, ProtocolError
+from .errors import InvalidInputError, ProtocolError, _reals
 from .pcmatrix import laplacian_is_connected
 
 
@@ -175,9 +175,7 @@ class Agent:
         self.gain = gain
         self.neighbors = tuple(neighbors)
         self.problem: AgentProblem = problem
-        self.x = np.asarray(x, dtype=float).copy()
-        self.lam = np.asarray(lam, dtype=float).copy()
-        self.mu = np.asarray(mu, dtype=float).copy()
+        self.x, self.lam, self.mu = self._own_block(x, lam, mu)
         self.round_index = 0
         self._own = None  # one-agent kernel, compiled on first use
         self._stack = None  # the stacked kernel this agent was last a row of
@@ -192,26 +190,30 @@ class Agent:
         """Velocity of the own block from own data plus neighbor payloads.
 
         ``received`` maps neighbor index to (x_shared, lam_shared); a
-        missing payload, or a part that is not ``depth`` long, is a
+        missing payload, or a part that is not ``depth`` real numbers, is a
         protocol violation.  Runs the velocity kernel on this agent's
         one-agent slice and returns (dx, dlambda_shared, dmu, g).
         """
+        parts = []
         for j, _w in self.neighbors:
             if j not in received:
                 raise ProtocolError(f"agent {self.id} missing payload from agent {j + 1}")
-            for part, name in zip(received[j], ("x", "lambda")):
-                if np.shape(part) != (self.depth,):
-                    raise ProtocolError(f"agent {self.id} received a payload from agent {j + 1} "
-                                        f"whose {name} part has shape {np.shape(part)}, "
-                                        f"expected ({self.depth},)")
+            parts.append([_reals(part, f"agent {self.id} received a payload from agent {j + 1} "
+                                 f"whose {name} part", (self.depth,), ProtocolError)
+                          for part, name in zip(received[j], ("x", "lambda"))])
         if self._own is None or not _compiled_from(self._own, [self]):
             self._own = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
         shape = (1, len(self.neighbors), self.depth)
-        recv_x, recv_lam = (np.array([received[j][p] for j, _ in self.neighbors],
-                                     dtype=float).reshape(shape) for p in (0, 1))
-        dx, dlam, dmu, g = self._own.evaluate(
-            *(np.asarray(v, dtype=float) for v in (x, lam, mu)), recv_x, recv_lam)
+        recv_x, recv_lam = (np.array([p[k] for p in parts]).reshape(shape) for k in (0, 1))
+        dx, dlam, dmu, g = self._own.evaluate(*self._own_block(x, lam, mu), recv_x, recv_lam)
         return dx, dlam[0], dmu, g
+
+    def _own_block(self, x, lam, mu):
+        """Float copies of (x, lambda, mu) of this agent's block, each of
+        its problem's length (``errors._reals``)."""
+        n, m = self.problem.dim, self.problem.constraints.size
+        return tuple(_reals(v, f"agent {self.id} {name}", (want,)).copy()
+                     for v, name, want in ((x, "x", n), (lam, "lambda", n), (mu, "mu", m)))
 
 
 def build_agents(problem: ProblemInstance, init: SolverState = None):

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, _integer, _reals
+from .errors import InvalidInputError, NumericalError, _integer, _positive, _reals
 
 #: eigenvalues below this fraction of max(1, largest eigenvalue) count as zero
 ZERO_EIGENVALUE_RTOL = 1e-9
@@ -93,9 +93,7 @@ def ordered_union(a: OrderedIndexSet, b: OrderedIndexSet) -> OrderedIndexSet:
 
 def extract(x, s) -> np.ndarray:
     """Select the components of ``x`` listed by ``s`` (1-based), in order."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError(f"expected a vector, got shape {x.shape}")
+    x = _reals(x, "extracted vector", 1)
     s = s if isinstance(s, OrderedIndexSet) else OrderedIndexSet(s)
     if len(s) and max(s.entries) > x.shape[0]:
         raise InvalidInputError(
@@ -116,9 +114,7 @@ def extend_matrix(m, positions) -> np.ndarray:
     labels only, and ``m`` is then placed into a zero matrix of the final
     order in one assignment.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
+    m = _reals(m, "extended matrix", "square")
     rows = [True] * m.shape[0]  # True for a row of m, False for an inserted zero row
     seq = positions.entries if isinstance(positions, OrderedIndexSet) else tuple(positions)
     for pos in seq:
@@ -190,11 +186,10 @@ def normalize_laplacian(laplacian) -> np.ndarray:
 
     The accepted convention has nonnegative diagonal, nonpositive
     off-diagonal entries and zero row sums.  A matrix given in the fully
-    negated convention is flipped; anything else is rejected.
+    negated convention is flipped; anything else is rejected, and first a
+    matrix that is not square or has an entry that is not a finite real.
     """
-    lap = np.asarray(laplacian, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise InvalidInputError(f"Laplacian must be square, got shape {lap.shape}")
+    lap = _reals(laplacian, "Laplacian", "square", finite=True)
     if not np.allclose(lap, lap.T, atol=_LAPLACIAN_ATOL):
         raise InvalidInputError("Laplacian must be symmetric")
 
@@ -221,10 +216,8 @@ def laplacian_is_connected(laplacian) -> bool:
 
     ``laplacian`` must be a square 2-d array of real numbers, else
     ``InvalidInputError``."""
-    lap = _reals(laplacian, "Laplacian", 2)
+    lap = _reals(laplacian, "Laplacian", "square")
     n = lap.shape[0]
-    if lap.shape != (n, n):
-        raise InvalidInputError(f"Laplacian must be square, got shape {lap.shape}")
     if n == 1:
         return True
     seen = {0}
@@ -271,11 +264,8 @@ def build_partial_consensus_matrix(laplacian, dims, depth: int) -> PartialConsen
     zero rows/columns at the non-shared coordinates.
     """
     dims = dims if isinstance(dims, AgentDims) else AgentDims(tuple(dims))
-    lap = normalize_laplacian(laplacian)
-    if lap.shape[0] != dims.count:
-        raise InvalidInputError(
-            f"Laplacian order {lap.shape[0]} does not match {dims.count} agents"
-        )
+    n = dims.count
+    lap = normalize_laplacian(_reals(laplacian, f"Laplacian of {n} agents", (n, n)))
     # consensus_index_set checks that the depth is an integer in 1..n_min
     shared, complement = consensus_index_set(dims, depth)
     depth = int(depth)
@@ -315,12 +305,8 @@ def spectral_summary(pc: PartialConsensusMatrix) -> SpectralSummary:
 
 def is_partial_consensus(pc: PartialConsensusMatrix, x, tol: float = 1e-12) -> bool:
     """True when the shared blocks of ``x`` agree, up to ``tol`` in ||Kx||."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pc.order,):
-        raise InvalidInputError(
-            f"vector of dimension {x.shape} does not match matrix order {pc.order}"
-        )
-    return float(np.linalg.norm(pc.matrix @ x)) <= tol
+    x = _reals(x, f"vector of a matrix of order {pc.order}", (pc.order,))
+    return float(np.linalg.norm(pc.matrix @ x)) <= _positive(tol, "tol", zero=True)
 
 
 @dataclass(frozen=True)
@@ -335,12 +321,7 @@ class PermutationMatrix:
         self.matrix.flags.writeable = False
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.size,):
-            raise InvalidInputError(
-                f"vector of dimension {x.shape} does not match permutation size {self.size}"
-            )
-        return self.matrix @ x
+        return self.matrix @ _reals(x, f"vector of a permutation of size {self.size}", (self.size,))
 
 
 def permutation_matrix(size: int, subset) -> PermutationMatrix:

@@ -22,7 +22,8 @@ space; box entries may be null for an unbounded side).  Every value is
 checked once, on read: objects by one key check, numbers and arrays of
 numbers (an agent's box as one array) by the package's one reader of
 real numbers (``errors._reals``), which rejects booleans, strings, nulls
-and ragged rows instead of converting them, ``dim`` and
+and ragged rows instead of converting them, and a Laplacian or ``init``
+array of the wrong shape or with a non-finite entry, ``dim`` and
 ``consensus_depth`` as whole numbers, and the ``solver`` block by the
 settings check of ``integrate``, so a bad value in the file is an error
 even when the command line overrides it.
@@ -357,7 +358,7 @@ def parse_problem_dict(doc: dict, slater_probe: bool = True) -> LoadedProblem:
     agents = [_parse_agent(a, i) for i, a in enumerate(_array(doc["agents"], "agents"))]
     problem = ProblemInstance(
         agents,
-        _reals(doc["laplacian"], "laplacian", 2, ExpressionError),
+        _reals(doc["laplacian"], "laplacian", "square", ExpressionError, finite=True),
         _integer(doc["consensus_depth"], "consensus_depth", 1, ExpressionError),
         slater_probe=slater_probe,
     )
@@ -376,13 +377,8 @@ def _parse_init(block, problem) -> SolverState:
     """An initial state from an {x, lambda, mu} object; missing arrays are zeros."""
     _object(block, "init block", (), ("x", "lambda", "mu"))
     sizes = {"x": problem.total_dim, "lambda": problem.total_dim, "mu": problem.multiplier_dim}
-    arrays = []
-    for name, want in sizes.items():
-        arr = (_reals(block[name], f"init.{name}", 1, ExpressionError) if name in block
-               else np.zeros(want))
-        if arr.shape != (want,):
-            raise ExpressionError(f"init.{name} must have length {want}")
-        arrays.append(arr)
+    arrays = [_reals(block[name], f"init.{name}", (want,), ExpressionError, finite=True)
+              if name in block else np.zeros(want) for name, want in sizes.items()]
     return SolverState(*arrays, 0.0)
 
 
