@@ -19,7 +19,7 @@ from .dynamics import (
     integrate,
     write_trajectory_csv,
 )
-from .errors import DivergenceError, InvalidInputError, NumericalError
+from .errors import DivergenceError, InvalidInputError, NumericalError, _integer
 from .network import MessageLog, run_decentralized, write_message_log_csv
 from .oracle import brute_force_solve
 from .problemfile import _parse_init, parse_problem
@@ -82,6 +82,14 @@ def _parsed(kind, text, what):
         raise InvalidInputError(f"{what}, got {text.strip()!r}") from None
 
 
+def _text(path, what) -> str:
+    """The UTF-8 text of the file ``path``; other bytes are a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+
+
 def _fmt(v) -> str:
     return f"{v:.17g}"
 
@@ -92,13 +100,13 @@ def _resolve_init(args, problem, file_init):
     if args.init == "zeros":
         return initial_state(problem, "zeros")
     if args.init == "random":
-        seed = args.seed
+        seed, what = args.seed, "--seed"
         if seed is None:
-            seed = _parsed(int, os.environ.get("PCONS_SEED", "0"), "PCONS_SEED must be an integer")
-        return initial_state(problem, "random", rng=np.random.default_rng(seed))
-    with open(args.init, "r", encoding="utf-8") as fh:
-        block = json.load(fh)
-    return _parse_init(block, problem)
+            what = "PCONS_SEED"
+            seed = _parsed(int, os.environ.get(what, "0"), f"{what} must be an integer")
+        return initial_state(problem, "random",
+                             rng=np.random.default_rng(_integer(seed, what, 0)))
+    return _parse_init(json.loads(_text(args.init, "--init file")), problem)
 
 
 def _consensus_spread(problem, x) -> float:
@@ -186,7 +194,7 @@ def cmd_solve(args) -> int:
 
 
 def _read_summary_objective(path) -> float:
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _text(path, "--compare file").splitlines():
         if line.startswith("objective:"):
             return _parsed(float, line.split(":", 1)[1], f"'objective:' in {path} must be a number")
     raise InvalidInputError(f"no 'objective:' line found in {path}")

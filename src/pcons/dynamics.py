@@ -39,7 +39,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import accumulate
 
 import numpy as np
@@ -66,6 +66,9 @@ METHODS = ("euler", "rk4")
 #: with at most this many kinks, capture skips its numpy pass (about 7 us
 #: on a 2-core x86_64 VM) and tests each kink row (about 1.7 us a row)
 _FEW_KINKS = 4
+
+#: a run's error state, entered once per call: ``locate`` names what overflows
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -408,8 +411,6 @@ class VelocityKernel:
             [(s.start + k, c, i) for i, (t, s) in enumerate(zip(self.kinks, self.blocks))
              for k, c in t], dtype=float).reshape(-1, 3).T
         self.kink_coord, self.kink_row = coord.astype(int), row.astype(int)
-        self._kink_rows = tuple(i for i, t in enumerate(self.kinks) if t)
-        self._alone = cache(lambda i: _uncoupled(agents[i], gain))  # compiled on first use
         self.lower = np.concatenate([a.box.lower for a in agents])
         self.upper = np.concatenate([a.box.upper for a in agents])
 
@@ -480,8 +481,7 @@ class VelocityKernel:
     def gather(self) -> np.ndarray:
         """The x (and lambda) index of every payload each row receives,
         in the shape of ``evaluate``'s ``recv_x``.  Only a kernel whose
-        neighbors are its own rows has one; an agent's one-agent kernel
-        has none."""
+        neighbors are its own rows has one, not an ``Agent``'s own kernel."""
         return self.shared[self.nbr]
 
     def payloads(self, x, lam):
@@ -618,27 +618,15 @@ class VelocityKernel:
 
     def capture(self, x, x_prev, v, mu, h) -> bool:
         """Kink capture, in place, on the stacked x of a step from ``x_prev``
-        with stage-1 velocity ``v`` and new multipliers ``mu``: a flagged
-        row (one vectorised ``_near_kink`` pass flags them, or every kink
-        row with at most ``_FEW_KINKS`` kinks) runs ``_snap`` on its kink
-        table.  Returns whether a snap was kept."""
-        rows = self._kink_rows
+        with stage-1 velocity ``v`` and new multipliers ``mu``: ``_snap`` on
+        this kernel, for the rows one vectorised ``_near_kink`` pass flags
+        (every row when the kernel has at most ``_FEW_KINKS`` kinks).
+        Returns whether a snap was kept."""
+        rows = range(len(self.kinks))
         if len(self.kink_row) > _FEW_KINKS:
             k = self.kink_coord
-            near = _near_kink(x[k], x_prev[k], v[k], self.kink_center, h)
-            rows = dict.fromkeys(self.kink_row[near].tolist())
-        changed = False
-        for i in rows:
-            s, ms = self.blocks[i], self.mu_blocks[i]
-            changed |= _snap(self.kinks[i], x[s], x_prev[s], v[s], mu[ms], h,
-                             partial(self._alone, i))
-        return changed
-
-
-def _uncoupled(agent, gain) -> VelocityKernel:
-    """``agent`` compiled without coupling: its dx at a non-shared
-    coordinate is its row's in any kernel, bit for bit."""
-    return VelocityKernel([agent], [()], 0, gain)
+            rows = self.kink_row[_near_kink(x[k], x_prev[k], v[k], self.kink_center, h)].tolist()
+        return _snap(self, {i: self.kinks[i] for i in rows}, x, x_prev, v, mu, h)
 
 
 def _near_kink(x, x_prev, v, center, h):
@@ -649,21 +637,29 @@ def _near_kink(x, x_prev, v, center, h):
     return (x != center) & (((x_prev - center) * d < 0.0) | (abs(d) <= h * abs(v) + 1e-12))
 
 
-def _snap(table, x, x_prev, v, mu, h, alone) -> bool:
-    """Snap one row's block ``x`` onto its ``table``'s kinks, in place, in
-    table order; a snap is kept only if the ``_uncoupled`` kernel
-    ``alone()`` gives it a velocity of at most ``SNAP_VELOCITY_TOL``."""
-    changed, check = False, None
-    for k, center in table:
-        xk = x[k]
-        if not _near_kink(xk, x_prev[k], v[k], center, h):
-            continue
+def _snap(kernel, tables, x, x_prev, v, mu, h) -> bool:
+    """Snap x onto the kinks of ``tables`` (row of ``kernel`` -> its kink
+    table), in place, in rounds: a round snaps each row's next kink in
+    table order that the step came near, one ``kernel.evaluate`` checks
+    them all, and a snap stays only if its velocity is at most
+    ``SNAP_VELOCITY_TOL``.  That velocity, at a non-shared coordinate,
+    reads only its row's block and multipliers, so each row runs as it
+    would on its own.  Returns whether a snap was kept."""
+    def near(start, table):  # each test reads x as the earlier rounds left it
+        for k, center in table:
+            k += start
+            if _near_kink(x[k], x_prev[k], v[k], center, h):
+                yield k, center
+    rows = [near(kernel.blocks[i].start, table) for i, table in tables.items()]
+    changed = False
+    while tried := [kink for kink in (next(row, None) for row in rows) if kink]:
+        k, center = map(np.array, zip(*tried))
+        old = x[k]
         x[k] = center
-        check, none = check or alone(), np.empty((1, 0, 0))  # no payloads reach it
-        if abs(check.evaluate(x, x, mu, none, none)[0][k]) <= SNAP_VELOCITY_TOL:
-            changed = True
-        else:
-            x[k] = xk
+        dx = kernel.evaluate(x, x, mu, *kernel.gathered(x, x))[0]
+        keep = np.abs(dx[k]) <= SNAP_VELOCITY_TOL
+        x[k[~keep]] = old[~keep]
+        changed |= bool(keep.any())
     return changed
 
 
@@ -708,6 +704,7 @@ def _packed_state(state, problem) -> np.ndarray:
     return np.concatenate(_check_state(state, problem))
 
 
+@_QUIET
 def rhs(state: SolverState, problem: ProblemInstance):
     """(dx, dlambda, dmu) of the flow at ``state``; dlambda is +0.0 off
     the shared block."""
@@ -737,6 +734,7 @@ def _residual_norms(kernel, velocity):
             _norm(np.maximum(g, 0.0)))
 
 
+@_QUIET
 def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
     """Stationarity, consensus, complementarity and feasibility norms.
 
@@ -787,6 +785,7 @@ def _step(kernel, stage, capture, z, k1, n, t, h, method):
     return new
 
 
+@_QUIET
 def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "rk4") -> SolverState:
     """One fixed step of the flow (no kink capture; see ``integrate``)."""
     _check_settings(h, method)
@@ -798,10 +797,10 @@ def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "
 
 def capture_agent_kinks(agent, table, x_block, x_prev_block, k1_block, mu_block, h, gain):
     """Snap one agent's block onto the (coordinate, center) kinks of
-    ``table``, in place, as ``VelocityKernel.capture`` snaps a row.
-    Returns whether a snap was kept."""
-    return _snap(table, x_block, x_prev_block, k1_block, mu_block, h,
-                 partial(_uncoupled, agent, gain))
+    ``table``, in place, as ``VelocityKernel.capture`` snaps a row, on the
+    agent compiled on its own once per call.  Returns whether a snap was kept."""
+    kernel = VelocityKernel([agent], [()], 0, gain)
+    return _snap(kernel, {0: table}, x_block, x_prev_block, k1_block, mu_block, h)
 
 
 #: values a ``Trajectory`` block holds, which keeps every block small
@@ -899,6 +898,7 @@ class Trajectory:
         return KKTResidual(*self._blocks[-1][-1, self._res].tolist())
 
 
+@_QUIET
 def _drive(problem, kernel, stage, capture, z, t0, h, method, t_max, kkt_tol, record_every):
     """The driver loop of both execution modes, from the packed state
     ``z = [x, lambda, mu]`` at t0.

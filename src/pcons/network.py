@@ -13,8 +13,8 @@ state; the kernel, whose rows are the agents in id order, is compiled
 from the agents' current problems, neighbors, depth and gain, and
 derives each row's slices and kink table from them.  A row reads only
 its own block and the payloads delivered to it, and kink capture is the
-kernel's own (``VelocityKernel.capture``), which checks a snap with the
-agent's row compiled on its own, so the run reproduces the centralized
+kernel's own (``VelocityKernel.capture``), which checks the snaps with
+the kernel's own ``evaluate``, so the run reproduces the centralized
 trajectory bit for bit.  The "network" is an in-process simulation:
 rounds are lockstep, there is no loss or delay.
 
@@ -40,6 +40,7 @@ from .dynamics import (
     SolverState,
     Trajectory,
     VelocityKernel,
+    _QUIET,
     _check_settings,
     _drive,
     _packed_state,
@@ -47,7 +48,7 @@ from .dynamics import (
     _write_rows,
     initial_state,
 )
-from .errors import InvalidInputError, ProtocolError, _reals
+from .errors import InvalidInputError, ProtocolError, _integer, _reals
 from .pcmatrix import laplacian_is_connected
 
 
@@ -326,6 +327,7 @@ def _capture_rows(agents, capture):
     return tuple(zip(kernel.agents, kernel.kinks)) if capture else ()
 
 
+@_QUIET
 def synchronous_round(agents, h, method="rk4", capture=True, log=None):
     """One synchronous exchange-and-step for every agent, in lockstep.
 
@@ -388,25 +390,31 @@ def run_decentralized(
 
 
 def _pack(messages):
-    """Consecutive ``Message``s with one payload shape, as the columns of
-    ``MessageLog.tables``."""
-    def shape(m):
-        return len(m.x_shared), len(m.lam_shared)
-
-    for _, run in groupby(messages, key=shape):
-        run = list(run)
-        payload = np.hstack((np.array([m.x_shared for m in run], dtype=float),
-                             np.array([m.lam_shared for m in run], dtype=float)))
-        yield (np.array([m.round_index for m in run]), np.array([m.sender for m in run]),
-               np.array([m.receiver for m in run]), payload)
+    """A sequence of ``Message``s as the columns of ``MessageLog.tables``,
+    one set per run of one payload width.  Every field is read first, the
+    round, sender and receiver by ``errors._integer`` and the payloads by
+    ``errors._reals``, so a fault raises before a file is opened."""
+    rows = []
+    for n, m in enumerate(messages):
+        ids = [_integer(getattr(m, f), f"messages[{n}].{f}", least)
+               for f, least in (("round_index", 0), ("sender", 1), ("receiver", 1))]
+        rows.append((ids, np.concatenate([_reals(getattr(m, f), f"messages[{n}].{f}", 1)
+                                          for f in ("x_shared", "lam_shared")])))
+    tables = []
+    for _, run in groupby(rows, key=lambda row: len(row[1])):
+        ids, payloads = zip(*run)
+        tables.append((*np.array(ids).T, np.array(payloads)))
+    return tables
 
 
 def write_message_log_csv(messages, path):
     """CSV dump of a message log: round, sender, receiver, payload.
 
-    ``messages`` is a ``MessageLog`` or a sequence of ``Message``s.  The
-    payload column joins the shared x components and the shared lambda
-    components with semicolons.
+    ``messages`` is a ``MessageLog`` or a sequence of ``Message``s, whose
+    fields must be integers and real numbers (non-finite payloads pass, as
+    a log's do), else ``InvalidInputError`` is raised before the file is
+    opened.  The payload column joins the shared x components and the
+    shared lambda components with semicolons.
     """
     tables = messages.tables() if isinstance(messages, MessageLog) else _pack(messages)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

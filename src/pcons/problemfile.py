@@ -391,6 +391,8 @@ def parse_problem(path, slater_probe: bool = True) -> LoadedProblem:
             raise ExpressionError(
                 f"invalid JSON in {path}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise ExpressionError(f"{path} is not UTF-8 text: {exc.reason}") from None
     return parse_problem_dict(doc, slater_probe=slater_probe)
 
 

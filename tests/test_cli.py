@@ -275,3 +275,71 @@ class TestErrorPaths:
             argv = ["solve", QUAD, "--out", str(tmp_path / "run"), flag, "nan"]
             assert main(argv) == 1
             assert "must be finite and positive" in capsys.readouterr().err
+
+
+class TestOneErrorLine:
+    """Inputs that printed a Python traceback: each is one ``error:`` line
+    and exit code 1."""
+
+    @staticmethod
+    def assert_one_error(capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.fixture
+    def latin1(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"x": [1.5], "name": "café"}'.encode("latin-1"))
+        return str(path)
+
+    def test_problem_file_that_is_not_utf8(self, tmp_path, capsys, latin1):
+        self.assert_one_error(capsys, ["solve", latin1, "--out", str(tmp_path / "run")],
+                              "is not UTF-8 text")
+        self.assert_one_error(capsys, ["oracle", latin1], "is not UTF-8 text")
+
+    def test_init_file_that_is_not_utf8(self, tmp_path, capsys, latin1):
+        out = tmp_path / "run"
+        self.assert_one_error(capsys, ["solve", EX2, "--out", str(out), "--init", latin1],
+                              "--init file")
+        assert not (out / "trajectory.csv").exists()
+
+    def test_compare_file_that_is_not_utf8(self, capsys, latin1):
+        self.assert_one_error(capsys, ["oracle", EX2, "--grid", "0.5", "--compare", latin1],
+                              "--compare file")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        argv = ["solve", EX2, "--out", str(tmp_path / "run"), "--init", "random"]
+        self.assert_one_error(capsys, argv + ["--seed", "-1"], "--seed must be an integer >= 0")
+
+    def test_negative_seed_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PCONS_SEED", "-5")
+        self.assert_one_error(capsys, ["solve", EX2, "--out", str(tmp_path / "run"),
+                                       "--init", "random"], "PCONS_SEED must be an integer >= 0")
+
+    def test_seed_zero_is_a_seed(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["--init", "random", "--t-max", "0.002"]
+        assert main(["solve", EX2, "--out", str(a), *argv, "--seed", "0"]) == 2
+        monkeypatch.setenv("PCONS_SEED", "0")
+        assert main(["solve", EX2, "--out", str(b), *argv]) == 2
+        assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+
+def test_exp_overflow_is_one_diverged_line(tmp_path):
+    """exp(750) overflows in the first velocity: the run reports the
+    non-finite state in one line, with no RuntimeWarning before it."""
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"agents": [{"dim": 1, "objective": "exp(x1)"}],
+                                "laplacian": [[0]], "consensus_depth": 1,
+                                "init": {"x": [750.0]}}), encoding="utf-8")
+    pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "pcons.cli", "solve", str(path), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert done.returncode == 3
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("diverged: ") and "agent 1, x_1" in done.stderr

@@ -1,16 +1,18 @@
 """Kink capture on the compiled kernel against the per-agent capture it
-replaces, bit for bit, plus the input checks that came with it."""
+replaces and against the one-row check kernels it replaced in turn, bit
+for bit, plus the input checks that came with it."""
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st, target
 
 import pcons
 from pcons import convex, dynamics
 from pcons.dynamics import (
-    METHODS, SNAP_VELOCITY_TOL, AgentProblem, ProblemInstance, SolverState,
+    METHODS, SNAP_VELOCITY_TOL, AgentProblem, ProblemInstance, SolverState, VelocityKernel,
     capture_agent_kinks, integrate, lyapunov_value, rhs, step,
 )
 from pcons.errors import InvalidInputError, ProtocolError
@@ -75,6 +77,49 @@ def reference_step(problem, state, h, method):
     x = plain.x.copy()
     reference_capture(problem, x, state.x, rhs(state, problem)[0], plain.mu, h)
     return SolverState(x, plain.lam, plain.mu, plain.t)
+
+
+# -- the reference: each snap checked on its row compiled on its own ----------
+
+
+def parent_uncoupled(agent, gain) -> VelocityKernel:
+    """``agent`` compiled without coupling: its dx at a non-shared
+    coordinate is its row's in any kernel, bit for bit."""
+    return VelocityKernel([agent], [()], 0, gain)
+
+
+def parent_snap(table, x, x_prev, v, mu, h, alone, checks) -> bool:
+    """Snap one row's block ``x`` onto its ``table``'s kinks, in place, in
+    table order; a snap is kept only if the ``parent_uncoupled`` kernel
+    ``alone()`` gives it a velocity of at most ``SNAP_VELOCITY_TOL``.
+    Appends each checked coordinate to ``checks``."""
+    changed, check = False, None
+    for k, center in table:
+        xk = x[k]
+        if not dynamics._near_kink(xk, x_prev[k], v[k], center, h):
+            continue
+        x[k] = center
+        check, none = check or alone(), np.empty((1, 0, 0))  # no payloads reach it
+        checks.append(k)
+        if abs(check.evaluate(x, x, mu, none, none)[0][k]) <= SNAP_VELOCITY_TOL:
+            changed = True
+        else:
+            x[k] = xk
+    return changed
+
+
+def parent_capture(problem, x, x_prev, v, mu, h):
+    """``parent_snap`` on every kink row of ``problem``'s kernel, each row
+    on its own blocks.  Returns (changed, each kink row's check count)."""
+    kernel, changed, tries = problem.kernel, False, []
+    for i, table in enumerate(kernel.kinks):
+        if table:
+            s, ms, checks = kernel.blocks[i], kernel.mu_blocks[i], []
+            changed |= parent_snap(table, x[s], x_prev[s], v[s], mu[ms], h,
+                                   partial(parent_uncoupled, kernel.agents[i], kernel.gain),
+                                   checks)
+            tries.append(len(checks))
+    return changed, tries
 
 
 # -- instances crowded with kinks --------------------------------------------
@@ -261,24 +306,102 @@ class TestMatchesPerAgentCapture:
         assert_bits_equal(got, want[:2])
 
 
+def count_evaluates(kernel):
+    """The list that gets one entry per ``kernel.evaluate`` call from now on."""
+    calls = []
+    kernel.evaluate = lambda *args: calls.append(args) or VelocityKernel.evaluate(kernel, *args)
+    return calls
+
+
+def snapping(kind):
+    """Whether a capture case tries snaps in at least two rows ("rows"), or
+    tries at least two snaps in one row, one check round each ("rounds")."""
+    def reaches(case):
+        problem, x, x_prev, v, mu, h = case
+        tries = parent_capture(problem, x.copy(), x_prev, v, mu, h)[1]
+        return (sum(t > 0 for t in tries) if kind == "rows" else max(tries, default=0)) >= 2
+    return reaches
+
+
+class TestMatchesParentSnap:
+    """The checks run in rounds on the kernel's own ``evaluate``, against
+    each snap checked on its row compiled on its own."""
+
+    @staticmethod
+    def assert_matches(case, few=dynamics._FEW_KINKS):
+        problem, x, x_prev, v, mu, h = case
+        want = x.copy()
+        want_changed, tries = parent_capture(problem, want, x_prev, v, mu, h)
+        got = x.copy()
+        calls = count_evaluates(problem.kernel)
+        saved, dynamics._FEW_KINKS = dynamics._FEW_KINKS, few
+        try:
+            got_changed = problem.kernel.capture(got, x_prev, v, mu, h)
+        finally:
+            dynamics._FEW_KINKS = saved
+        assert_bits_equal(got, want)
+        assert got_changed == want_changed
+        for i, (agent, table) in enumerate(zip(problem.agents, problem._capture_table)):
+            s, ms = problem.block(i), problem.mu_block(i)
+            got, want = x[s].copy(), x[s].copy()
+            assert capture_agent_kinks(agent, table, got, x_prev[s], v[s], mu[ms], h,
+                                       problem.gain) == parent_snap(
+                table, want, x_prev[s], v[s], mu[ms], h,
+                partial(parent_uncoupled, agent, problem.gain), [])
+            assert_bits_equal(got, want)
+        return len(calls), tries
+
+    @pytest.mark.parametrize("few", [0, 10**6])
+    @settings(max_examples=150, deadline=None)
+    @given(capture_cases())
+    def test_kernel_capture(self, few, case):
+        tries = self.assert_matches(case, few)[1]
+        target(float(sum(tries)))  # steer towards steps with many snaps
+
+    @pytest.mark.parametrize("kind", ["rows", "rounds"])
+    def test_cases_reach_several_rows_and_rounds(self, kind):
+        case = find(capture_cases(), snapping(kind),
+                    settings=settings(max_examples=2000, phases=[Phase.generate],
+                                      database=None, deadline=None, derandomize=True))
+        checks, tries = self.assert_matches(case)
+        assert checks == max(tries)
+        assert sum(tries) > checks if kind == "rows" else checks >= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(capture_cases())
+    def test_one_check_per_round(self, case):
+        """One ``capture`` makes as many check ``evaluate``s as the most
+        snaps any one row tries, not their sum."""
+        problem, x, x_prev, v, mu, h = case
+        tries = parent_capture(problem, x.copy(), x_prev, v, mu, h)[1]
+        calls = count_evaluates(problem.kernel)
+        problem.kernel.capture(x, x_prev, v, mu, h)
+        assert len(calls) == max(tries, default=0)
+
+
 class TestCompiledOnce:
-    def test_a_row_is_compiled_at_most_once_per_kernel(self, monkeypatch):
+    def test_runs_compile_no_kernel_once_the_problem_has_one(self, monkeypatch):
         rng = np.random.default_rng(7)
         problem = random_problem(rng)
         agents = [with_kink(a, a.dim - 1, 0.0, 3.0) for a in problem.agents]
         problem = ProblemInstance(agents, problem.laplacian, 1)
-        compiled = []
-        original = dynamics._uncoupled
-        monkeypatch.setattr(dynamics, "_uncoupled",
-                            lambda agent, gain: compiled.append(agent) or original(agent, gain))
         x = np.zeros(problem.total_dim)
         for i in range(len(agents)):
             x[problem.block(i).stop - 1] = 1e-13  # next to the kink at 0.0
         init = SolverState(x, np.zeros(problem.total_dim), np.zeros(problem.multiplier_dim))
-        integrate(problem, init, h=1e-3, t_max=0.02, kkt_tol=1e-300)
-        integrate(problem, init, h=1e-3, t_max=0.02, kkt_tol=1e-300)
-        assert compiled  # a snap was tried
-        assert len(compiled) == len({id(a) for a in compiled}) <= len(agents)
+        kernel = problem.kernel
+        compiled, evaluated = [], []
+        compile_ = VelocityKernel.__init__
+        monkeypatch.setattr(VelocityKernel, "__init__",
+                            lambda self, *args: compiled.append(args) or compile_(self, *args))
+        monkeypatch.setattr(kernel, "evaluate", lambda *args: evaluated.append(args)
+                            or VelocityKernel.evaluate(kernel, *args))
+        runs = [run(problem, init, h=1e-3, t_max=0.02, kkt_tol=1e-300)
+                for run in (integrate, integrate, run_decentralized)]
+        synchronous_round(build_agents(problem, init), 1e-3)
+        assert not compiled
+        stages = sum(4 * r.total_steps + 1 for r in runs) + 4  # rk4, and the round
+        assert len(evaluated) > stages  # a snap was tried, and checked on the run's kernel
 
     def test_no_per_agent_rows(self):
         assert not hasattr(dynamics, "_snapped_coordinate_velocity")

@@ -499,3 +499,33 @@ class TestMessageLog:
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         table.clear()
         assert len(table) == 0 and list(table) == []
+
+
+class TestMessageListReads:
+    """A list of ``Message``s is read through the package's readers before
+    the file is opened: integers for the ids, real numbers for payloads."""
+
+    @pytest.mark.parametrize("message, name", [
+        (Message(0, 1, 2, ["1.5"], [True]), "x_shared"),
+        (Message(0, 1, 2, [1.5], [True]), "lam_shared"),
+        (Message(0, 1, 2, [1.5], None), "lam_shared"),
+        (Message(0, 1, 2, [[1.5]], [1.0]), "x_shared"),
+        (Message(0.7, 1, 2, [1.5], [1.0]), "round_index"),
+        (Message(True, 1, 2, [1.5], [1.0]), "round_index"),
+        (Message(-1, 1, 2, [1.5], [1.0]), "round_index"),
+        (Message(0, 0, 2, [1.5], [1.0]), "sender"),
+        (Message(0, 1, "2", [1.5], [1.0]), "receiver"),
+    ])
+    def test_rejected_before_the_file_opens(self, tmp_path, message, name):
+        good = Message(0, 1, 2, np.array([1.5]), np.array([0.5]))
+        path = tmp_path / "messages.csv"
+        with pytest.raises(InvalidInputError, match=rf"messages\[1\]\.{name}"):
+            write_message_log_csv([good, message], path)
+        assert not path.exists()
+
+    def test_non_finite_payloads_are_written(self, tmp_path):
+        path = tmp_path / "messages.csv"
+        write_message_log_csv([Message(0, 1, 2, [np.nan], [np.inf]),
+                               Message(np.int64(3), 2, 1, [-0.0, 1], [2.5, -np.inf])], path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            "0,1,2,nan;inf", "3,2,1,-0;1;2.5;-inf"]
