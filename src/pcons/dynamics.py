@@ -258,46 +258,33 @@ def initial_state(problem: ProblemInstance, kind: str = "zeros", rng=None) -> So
 
 
 class _Atoms:
-    """One atom family of many expressions, flattened.
+    """One atom family (``"quad"``, ``"abs"`` or ``"exp"``) of many
+    expressions, flattened.
 
     ``coord`` indexes the stacked x and ``pos`` the accumulator the atoms
-    add into.  ``slots`` splits the atoms into groups that never repeat a
-    position, so adding the groups in turn accumulates duplicate atoms one
-    at a time, in the order their expression lists them, exactly like the
-    scatter-add in ``ConvexExpr``.  An empty family keeps only its
-    ``size`` 0 and no ``slots``, and every reader skips it by its size.
+    add into.  ``add`` scatters with ``np.add.at``, which adds duplicate
+    atoms one at a time, in the order their expression lists them,
+    exactly like ``ConvexExpr``.  An empty family keeps only its
+    ``size`` 0, and every reader skips it by its size.
     """
 
-    size, slots = 0, ()
+    size = 0
 
-    def __init__(self, parts, twice=False):
-        # parts: (pos offset, coord offset, idx, center or None, weight)
-        parts = [p for p in parts if len(p[2])]
+    def __init__(self, family, parts):
+        # parts: (pos offset, coord offset, expression); a square's weight is doubled
+        parts = [(p0 + idx, c0 + idx, e) for p0, c0, e in parts
+                 if len(idx := getattr(e, f"{family}_idx"))]
         if not parts:
             return
-        pos, coord, center, weight = [], [], [], []
-        for p0, c0, idx, cen, w in parts:
-            pos.extend((p0 + idx).tolist())
-            coord.extend((c0 + idx).tolist())
-            center.extend(() if cen is None else cen)
-            weight.append(2.0 * w if twice else w)
-        self.size = len(pos)
-        self.coord = np.asarray(coord, dtype=int)
-        self.center = np.asarray(center, dtype=float)
-        self.weight = np.concatenate(weight)
-        rank, seen = [], {}
-        for p in pos:
-            rank.append(seen.get(p, 0))
-            seen[p] = rank[-1] + 1
-        pos, rank = np.asarray(pos, dtype=int), np.asarray(rank, dtype=int)
-        if rank.max() == 0:
-            self.slots = ((pos, slice(None)),)
-        else:
-            self.slots = tuple((pos[rank == r], rank == r) for r in range(rank.max() + 1))
+        pos, coord, exprs = zip(*parts)
+        self.pos, self.coord = np.concatenate(pos), np.concatenate(coord)
+        self.center = np.concatenate([getattr(e, f"{family}_center", ()) for e in exprs])
+        weight = np.concatenate([getattr(e, f"{family}_weight") for e in exprs])
+        self.weight = 2.0 * weight if family == "quad" else weight
+        self.size = len(self.pos)
 
     def add(self, acc, values):
-        for pos, sel in self.slots:
-            acc[pos] += values[sel]
+        np.add.at(acc, self.pos, values)
 
 
 class _Dots:
@@ -385,8 +372,11 @@ class VelocityKernel:
     ``kink_row`` for ``capture``.
     The arrays hold the objective atoms in stacked coordinates, the
     constraint rows and one objective value row per agent grouped by exact
-    length, the constraint rows as per-column subgradient entries, the
-    neighbor table padded with zero weights, and the stacked box bounds.
+    length, the constraint rows as subgradient entries (one per row and
+    coordinate, agent by agent and row by row), the neighbor table padded
+    with zero weights, and the stacked box bounds.  Atoms and constraint
+    entries are scattered by ``np.add.at`` in that order, so every sum
+    adds its terms in the order ``ConvexExpr`` and ``ConstraintMap`` do.
     ``evaluate`` applies one fixed sequence of numpy operations to every
     row; each row reads only its own block and the payloads delivered to
     it.  An objective that is not a ``ConvexExpr`` is asked for its own
@@ -428,54 +418,36 @@ class VelocityKernel:
         self._lam_shared = self.total_dim + self.shared
         self._stay = np.full(self.total_dim, -0.0)
 
-        # objective atoms in stacked coordinates, and one value row per agent
-        lin = np.zeros(self.total_dim)
-        opaque = []
-        quad, abs_, exp = [], [], []
+        # objective atoms in stacked coordinates and one value row per agent;
+        # constraint rows: values grouped by length, subgradients as one entry
+        # per (row, coordinate), agent by agent and row by row
+        self.lin, opaque, objectives = np.zeros(self.total_dim), [], []
+        con_lin, con_coord, con_row, constraints = [], [], [], []
         objective_values = {"lin": [], "quad": [], "abs": [], "exp": []}
-        for i, (a, s) in enumerate(zip(agents, self.blocks)):
-            f = a.objective
-            if not isinstance(f, ConvexExpr):
-                opaque.append((i, s, f))
-                continue
-            _value_entries(objective_values, i, f, s.start)
-            lin[s] = f.lin
-            quad.append((s.start, s.start, f.quad_idx, f.quad_center, f.quad_weight))
-            abs_.append((s.start, s.start, f.abs_idx, f.abs_center, f.abs_weight))
-            exp.append((s.start, s.start, f.exp_idx, None, f.exp_weight))
-        self.lin, self.opaque = lin, tuple(opaque)
-        self.objective_dots = {fam: _group_dots(v) for fam, v in objective_values.items()}
-        self.quad = _Atoms(quad, twice=True)
-        self.abs = _Atoms(abs_)
-        self.exp = _Atoms(exp)
-
-        # constraint rows: values grouped by length; subgradients as entries
-        # column by column (the c-th row of every agent that has one)
         values = {"lin": [], "quad": [], "abs": [], "exp": []}
-        con_lin, columns = [], []
-        sub = {"quad": [], "abs": [], "exp": []}
-        for c in range(max(sizes, default=0)):
-            coord, rows, start = [], [], len(con_lin)
-            for i, a in enumerate(agents):
-                if c >= sizes[i]:
-                    continue
-                g, s, r = a.constraints.components[c], self.blocks[i], self.mu_blocks[i].start + c
-                p0 = len(con_lin)
-                con_lin.extend(g.lin.tolist())
-                coord.extend(range(s.start, s.stop))
-                rows.extend([r] * dims[i])
+        for i, (a, s, ms) in enumerate(zip(agents, self.blocks, self.mu_blocks)):
+            f = a.objective
+            if isinstance(f, ConvexExpr):
+                _value_entries(objective_values, i, f, s.start)
+                self.lin[s] = f.lin
+                objectives.append((s.start, s.start, f))
+            else:
+                opaque.append((i, s, f))
+            for r, g in enumerate(a.constraints.components, ms.start):
                 _value_entries(values, r, g, s.start)
-                for fam, cen in (("quad", g.quad_center), ("abs", g.abs_center), ("exp", None)):
-                    sub[fam].append((p0, s.start, getattr(g, f"{fam}_idx"), cen,
-                                     getattr(g, f"{fam}_weight")))
-            columns.append((np.asarray(coord, dtype=int), np.asarray(rows, dtype=int),
-                            slice(start, len(con_lin))))
-        self.con_lin = np.asarray(con_lin, dtype=float)
-        self.con_columns = tuple(columns)
-        self.con_quad = _Atoms(sub["quad"], twice=True)
-        self.con_abs = _Atoms(sub["abs"])
-        self.con_exp = _Atoms(sub["exp"])
+                constraints.append((len(con_lin), s.start, g))
+                con_lin.extend(g.lin.tolist())
+                con_coord.extend(range(s.start, s.stop))
+                con_row.extend([r] * a.dim)
+        self.opaque = tuple(opaque)
+        self.objective_dots = {fam: _group_dots(v) for fam, v in objective_values.items()}
         self.value_dots = {fam: _group_dots(v) for fam, v in values.items()}
+        self.quad, self.abs, self.exp = (_Atoms(fam, objectives) for fam in ("quad", "abs", "exp"))
+        self.con_quad, self.con_abs, self.con_exp = (
+            _Atoms(fam, constraints) for fam in ("quad", "abs", "exp"))
+        self.con_lin = np.asarray(con_lin, dtype=float)
+        self.con_coord = np.asarray(con_coord, dtype=int)
+        self.con_row = np.asarray(con_row, dtype=int)
 
     @cached_property
     def gather(self) -> np.ndarray:
@@ -497,13 +469,16 @@ class VelocityKernel:
         """g(x) of every constraint row, as ``ConvexExpr.value`` computes it."""
         return _dot_values(self.value_dots, x, np.empty(self.multiplier_dim))
 
+    @_QUIET
     def objective_values(self, x):
-        """Every row's objective value, as its ``value`` computes it."""
+        """Every row's objective value, as its ``value`` computes it; one
+        that overflows is inf, without a warning."""
         out = _dot_values(self.objective_dots, x, np.empty(len(self.blocks)))
         for i, blk, objective in self.opaque:
             out[i] = objective.value(x[blk])
         return out
 
+    @_QUIET
     def objective_value_rows(self, xs):
         """``objective_values`` at every row of the (states, total_dim)
         array ``xs``, as a (states, rows) array."""
@@ -551,10 +526,9 @@ class VelocityKernel:
             if self.con_exp.size:
                 e = self.con_exp
                 e.add(sub, e.weight * np.exp(x[e.coord]))
-            for coord, rows, sl in self.con_columns:
-                m = pp[rows]
-                on = m != 0.0
-                base[coord[on]] += m[on] * sub[sl][on]
+            m = pp[self.con_row]
+            on = m != 0.0
+            np.add.at(base, self.con_coord[on], m[on] * sub[on])
 
         # coupling with the delivered neighbor payloads, one column at a time
         xs, ls = x[self.shared], lam[self.shared]
@@ -598,7 +572,7 @@ class VelocityKernel:
         """``evaluate``'s (dx, dlambda, dmu, g) as (dz, g), with dz packed
         like the state z = [x, lambda, mu].
 
-        The non-shared dlambda slots hold -0.0: adding ``coef * dz`` to a
+        The non-shared dlambda entries hold -0.0: adding ``coef * dz`` to a
         state keeps every bit of its non-shared lambda entries, a -0.0
         included.
         """
@@ -757,7 +731,7 @@ def _step(kernel, stage, capture, z, k1, n, t, h, method):
     ``stage(z, n)`` returns the packed velocity (dz, g) at a packed stage
     state; ``k1`` is stage 1 when the caller has it, else None.  A stage
     state is ``z + coef * dz``; the -0.0 that ``VelocityKernel.pack``
-    puts in the non-shared dlambda slots leaves those lambda entries
+    puts in the non-shared dlambda entries leaves those lambda entries
     bit for bit.  A non-finite result raises ``NumericalError`` naming
     the first non-finite entry and carrying the state at t; after that
     check, with ``capture`` on, ``VelocityKernel.capture`` snaps the new

@@ -42,6 +42,7 @@ from .dynamics import (
     VelocityKernel,
     _QUIET,
     _check_settings,
+    _check_state,
     _drive,
     _packed_state,
     _step,
@@ -222,15 +223,17 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
 
     The gain is computed centrally once (it needs the full spectrum) and
     distributed; everything else an agent receives is local.  Requires a
-    connected graph.
+    connected graph, and ``init`` is read as ``integrate`` reads it
+    (``dynamics._check_state``).
     """
     if not laplacian_is_connected(problem.laplacian):
         raise InvalidInputError("the coupling graph must be connected")
-    state = init if init is not None else initial_state(problem, "zeros")
+    x, lam, mu = _check_state(init if init is not None else initial_state(problem, "zeros"),
+                              problem)
     kernel, agents = problem.kernel, []
     for i, (ap, s, ms) in enumerate(zip(kernel.agents, kernel.blocks, kernel.mu_blocks)):
         agents.append(Agent(i + 1, ap, problem.depth, problem.gain, problem.neighbors[i],
-                            state.x[s], state.lam[s], state.mu[ms]))
+                            x[s], lam[s], mu[ms]))
         agents[-1]._stack = kernel
     return agents
 
@@ -331,11 +334,14 @@ def _capture_rows(agents, capture):
 def synchronous_round(agents, h, method="rk4", capture=True, log=None):
     """One synchronous exchange-and-step for every agent, in lockstep.
 
-    All agents must be at the same round number.  Agents are mutated in
+    All agents must be at the same round number.  Every agent's x, lambda
+    and mu are read first: real numbers of its problem's lengths, all
+    finite, else ``InvalidInputError`` names the agent (and the first
+    non-finite entry, as "agent 2, mu_1").  Agents are mutated in
     place and returned; the second element of the result is the number
     of directed payloads sent.  A non-finite new state raises
-    ``NumericalError`` (its t counts rounds from 0) and leaves the agents
-    as they were.
+    ``NumericalError`` (its t counts rounds from 0); on any error the
+    agents are left as they were.
     """
     _check_settings(h, method)
     rounds = {a.round_index for a in agents}
@@ -343,7 +349,11 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
         raise ProtocolError(f"agents out of sync: round numbers {sorted(rounds)}")
     rnd = agents[0].round_index
     kernel = _stacked_kernel(agents)
-    z = np.concatenate([getattr(a, f) for f in ("x", "lam", "mu") for a in agents])
+    xs, lams, mus = zip(*(a._own_block(a.x, a.lam, a.mu) for a in agents))
+    z = np.concatenate(xs + lams + mus)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise InvalidInputError(f"{kernel.locate(int(np.argmin(finite)))} must be finite")
     with _table_log(log) as table:
         exchange = _Exchange(kernel, table)
         x, lam, mu = kernel.split(_step(kernel, exchange.stage, capture, z, None, rnd,

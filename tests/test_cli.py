@@ -343,3 +343,27 @@ def test_exp_overflow_is_one_diverged_line(tmp_path):
     assert done.returncode == 3
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("diverged: ") and "agent 1, x_1" in done.stderr
+
+
+@pytest.mark.parametrize("mode", [[], ["--decentralized", "--log-messages"]])
+def test_objective_overflow_at_a_finite_state_is_inf_without_a_warning(tmp_path, mode):
+    """In the box [-1000, 1000] the velocity at x = 750 stays finite but
+    exp(750) does not: the run ends at --t-max with objective inf, and
+    nothing is written to stderr, also under ``-W error``."""
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"agents": [{"dim": 1, "objective": "exp(x1)",
+                                            "box": [[-1000, 1000]]}],
+                                "laplacian": [[0]], "consensus_depth": 1,
+                                "init": {"x": [750.0]}}), encoding="utf-8")
+    pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pcons.cli", "solve", str(path),
+         "--t-max", "0.01", "--out", str(tmp_path / "run"), *mode],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert (done.returncode, done.stderr) == (2, "")
+    assert _summary(tmp_path / "run" / "summary.txt")["objective"] == "inf"
+    header, first, *_ = (tmp_path / "run" / "trajectory.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert first.split(",")[header.split(",").index("objective")] == "inf"

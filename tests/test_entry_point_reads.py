@@ -19,7 +19,7 @@ from pcons.dynamics import (
     write_trajectory_csv,
 )
 from pcons.errors import ExpressionError, InvalidInputError, ProtocolError
-from pcons.network import Agent, build_agents
+from pcons.network import Agent, build_agents, synchronous_round
 from pcons.pcmatrix import (
     build_partial_consensus_matrix, extend_matrix, extract, is_partial_consensus,
     laplacian_is_connected, normalize_laplacian, permutation_matrix,
@@ -47,6 +47,14 @@ def _state(**parts):
     fields = {"x": np.full(n, 0.5), "lam": np.zeros(n), "mu": np.zeros(m), "t": 0.0}
     fields.update(parts)
     return SolverState(**fields)
+
+
+def _round(**fields):
+    """One Euler round of PROBLEM's agents with fields of agent 1 replaced."""
+    agents = build_agents(PROBLEM, _state())
+    for name, value in fields.items():
+        setattr(agents[0], name, value)
+    return synchronous_round(agents, 1e-3, "euler")
 
 
 def _file_init(x):
@@ -132,6 +140,18 @@ ENTRIES = {
                  True, ONE_MORE_AXIS),
     "state time": (lambda v: kkt_residual(_state(t=v), PROBLEM), 0.0, InvalidInputError, True,
                    ONE_MORE_AXIS),
+    "build_agents init x": (lambda v: build_agents(PROBLEM, _state(x=v)), [0.5] * 4,
+                            InvalidInputError, True, ONE_MORE_AXIS),
+    "build_agents init lambda": (lambda v: build_agents(PROBLEM, _state(lam=v)), [0.0] * 4,
+                                 InvalidInputError, True, ONE_MORE_AXIS),
+    "build_agents init mu": (lambda v: build_agents(PROBLEM, _state(mu=v)), [0.0] * 4,
+                             InvalidInputError, True, ONE_MORE_AXIS),
+    "synchronous_round x": (lambda v: _round(x=v), [0.5, 0.5], InvalidInputError, True,
+                            ONE_MORE_AXIS),
+    "synchronous_round lambda": (lambda v: _round(lam=v), [0.0, 0.0], InvalidInputError, True,
+                                 ONE_MORE_AXIS),
+    "synchronous_round mu": (lambda v: _round(mu=v), [0.0, 0.0], InvalidInputError, True,
+                             ONE_MORE_AXIS),
     "Agent x": (lambda v: Agent(2, AGENT.problem, 1, 4.0, AGENT.neighbors, v, [0.0] * 2, [0.0]),
                 [1.5, 1.5], InvalidInputError, False, ONE_MORE_AXIS),
     "Agent lambda": (lambda v: Agent(2, AGENT.problem, 1, 4.0, AGENT.neighbors, [1.5] * 2, v,
@@ -368,4 +388,44 @@ class TestEmptyAtomFamiliesCompileToNothing:
         kernel = PROBLEM.kernel  # squares and absolute values; affine and exp constraints
         assert kernel.quad.size == 2 and kernel.abs.size == 2 and kernel.con_exp.size == 2
         for family in (kernel.exp, kernel.con_quad, kernel.con_abs):
-            assert family.size == 0 and family.slots == () and not vars(family)
+            assert family.size == 0 and not vars(family)
+
+
+class TestBuildAgentsReadsInit:
+    """``build_agents`` reads ``init`` as ``integrate`` does (example2: total 5)."""
+
+    def test_an_x_one_entry_too_long(self):
+        state = SolverState(np.zeros(6), np.zeros(5), np.zeros(EX2.multiplier_dim))
+        with pytest.raises(InvalidInputError, match=r"state.x must have length 5, got shape \(6,\)"):
+            build_agents(EX2, state)
+
+    def test_a_nan_x(self):
+        x = np.zeros(5)
+        x[3] = np.nan
+        with pytest.raises(InvalidInputError, match="state.x must be finite"):
+            build_agents(EX2, SolverState(x, np.zeros(5), np.zeros(EX2.multiplier_dim)))
+
+
+class TestSynchronousRoundReadsEveryAgent:
+    """Every agent's x, lambda and mu are read before the step, and a bad
+    one is named by its agent and leaves every agent as it was."""
+
+    @staticmethod
+    def _agents():
+        return build_agents(EX2, SolverState(np.linspace(0.5, 1.5, 5), np.zeros(5),
+                                             np.zeros(EX2.multiplier_dim)))
+
+    @pytest.mark.parametrize("agent, field, value, message", [
+        (0, "x", [1.0, 2.0, 3.0], r"agent 1 x must have length \d, got shape \(3,\)"),
+        (1, "x", ["1", "2"], "agent 2 x must be real numbers"),
+        (1, "mu", [np.nan], "agent 2, mu_1 must be finite"),
+        (2, "lam", [0.0, -np.inf], "agent 3, lambda_2 must be finite"),
+    ])
+    def test_named_and_nothing_changes(self, agent, field, value, message):
+        agents = self._agents()
+        setattr(agents[agent], field, value)
+        before = [(a, a.x, a.lam, a.mu) for a in agents]
+        with pytest.raises(InvalidInputError, match=message):
+            synchronous_round(agents, 1e-3)
+        for a, x, lam, mu in before:
+            assert a.x is x and a.lam is lam and a.mu is mu and a.round_index == 0

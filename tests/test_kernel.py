@@ -1,6 +1,6 @@
 """The compiled velocity kernel against the per-agent reference, bit for bit."""
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcons import convex
 from pcons.dynamics import AgentProblem, ProblemInstance, SolverState, rhs
@@ -169,6 +169,149 @@ class TestKernelMatchesReference:
             x = np.array(x)
             assert_rows_equal(kernel_rows(problem, x, np.zeros(2), np.zeros(0)),
                               reference_rows(problem, x, np.zeros(2), np.zeros(0)))
+
+
+# -- the scatter against the two it replaced -----------------------------------
+
+
+def slot_add(family, acc, values):
+    """Add ``values`` into ``acc`` at ``family.pos`` in slot groups: the
+    k-th group holds every position's k-th atom, so no group repeats a
+    position, and the groups are added in turn."""
+    if not family.size:
+        return
+    rank, seen = [], {}
+    for p in family.pos.tolist():
+        rank.append(seen.get(p, 0))
+        seen[p] = rank[-1] + 1
+    rank = np.array(rank)
+    for r in range(rank.max() + 1):
+        acc[family.pos[rank == r]] += values[rank == r]
+
+
+def column_add(kernel, base, pp, sub):
+    """Add p_j * (subgradient entries of row j) into ``base`` column by
+    column, the c-th row of every agent that has one, skipping p_j == 0."""
+    sizes = [blk.stop - blk.start for blk in kernel.mu_blocks]
+    first = np.repeat([blk.start for blk in kernel.mu_blocks], sizes)
+    column = kernel.con_row - first[kernel.con_row]
+    for c in range(max(sizes, default=0)):
+        coord, rows, sl = (a[column == c] for a in (kernel.con_coord, kernel.con_row, sub))
+        m = pp[rows]
+        on = m != 0.0
+        base[coord[on]] += m[on] * sl[on]
+
+
+def reference_select(kernel, x, lam, mu, recv_x, recv_lam):
+    """``VelocityKernel._select`` with atoms added in slot groups and the
+    constraint entries column by column, from the kernel's flat arrays."""
+    g = kernel.constraint_values(x)
+    pp = np.maximum(mu + g, 0.0)
+    base = np.zeros(kernel.total_dim)
+    if kernel.con_lin.size:
+        sub = kernel.con_lin.copy()
+        q, a, e = kernel.con_quad, kernel.con_abs, kernel.con_exp
+        if q.size:
+            slot_add(q, sub, q.weight * (x[q.coord] - q.center))
+        if a.size:
+            d = x[a.coord] - a.center
+            slot_add(a, sub, a.weight * np.where(np.abs(d) < convex.KINK_TOLERANCE, 0.0,
+                                                 np.sign(d)))
+        if e.size:
+            slot_add(e, sub, e.weight * np.exp(x[e.coord]))
+        column_add(kernel, base, pp, sub)
+    xs, ls = x[kernel.shared], lam[kernel.shared]
+    coup, dlam = np.zeros_like(xs), np.zeros_like(xs)
+    for k, w in enumerate(kernel.weight_columns):
+        coup += w * (xs + ls - (recv_x[:, k] + recv_lam[:, k]))
+        dlam += w * (xs - recv_x[:, k])
+    base[kernel.shared] += coup
+    lo = kernel.lin.copy()
+    q, a, e = kernel.quad, kernel.abs, kernel.exp
+    if q.size:
+        slot_add(q, lo, q.weight * (x[q.coord] - q.center))
+    if e.size:
+        slot_add(e, lo, e.weight * np.exp(x[e.coord]))
+    hi = lo.copy()
+    if a.size:
+        d = x[a.coord] - a.center
+        at_kink = np.abs(d) < convex.KINK_TOLERANCE
+        s = np.where(at_kink, 0.0, np.sign(d))
+        slot_add(a, lo, a.weight * np.where(at_kink, -1.0, s))
+        slot_add(a, hi, a.weight * np.where(at_kink, 1.0, s))
+    for _, blk, objective in kernel.opaque:
+        lo[blk], hi[blk] = objective.subgradient_interval(x[blk])
+    return np.minimum(np.maximum(-base, lo), hi), base, dlam, pp, g
+
+
+def listed(dim, lin, const=0.0, quad=(), abs_=(), exp=()):
+    """A ``ConvexExpr`` whose atoms stay as listed: duplicates unmerged."""
+    fields = {"dim": dim, "lin": np.array(lin, dtype=float), "const": const}
+    for fam, atoms in (("quad", quad), ("abs", abs_), ("exp", exp)):
+        fields[f"{fam}_idx"] = np.array([a[0] for a in atoms], dtype=int)
+        fields[f"{fam}_weight"] = np.array([a[-1] for a in atoms], dtype=float)
+        if fam != "exp":
+            fields[f"{fam}_center"] = np.array([a[1] for a in atoms], dtype=float)
+    return convex.ConvexExpr(**fields)
+
+
+def side_by_side():
+    """Agents with 0, 3, 1 and 2 constraint rows, duplicate atoms on one
+    coordinate in objectives and rows, and an exp row whose multiplier is
+    exactly 0 while its subgradient entry overflows: 1e308 + 1e308*exp(0)."""
+    rows = {
+        0: (),
+        1: (listed(2, [0.5, -1.0], -0.25, quad=[(1, 0.5, 1.0), (1, -0.5, 2.0)]),
+            listed(2, [1e308, 0.0], 0.0, exp=[(0, 1e308)]),
+            listed(2, [0.25, 0.25], 0.5, abs_=[(0, 0.0, 1.0), (0, 0.0, 3.0), (1, 0.75, 0.5)])),
+        2: (listed(1, [2.0], -1.0, exp=[(0, 0.5), (0, 0.25)]),),
+        3: (listed(3, [0.0, 1.0, -1.0], 0.0, quad=[(2, 1.0, 0.5)], abs_=[(2, 1.0, 2.0)]),
+            listed(3, [1.0, 1.0, 1.0], -0.5, exp=[(1, 1.0), (1, 2.0), (0, 1.0)])),
+    }
+    dims = (1, 2, 1, 3)
+    agents = [AgentProblem(
+        objective=listed(d, [0.1] * d, 0.0, quad=[(0, 0.3, 1.0), (0, -0.7, 2.0)],
+                         abs_=[(d - 1, 0.25, 0.5), (d - 1, 0.25, 1.5)], exp=[(0, 0.1), (0, 0.2)]),
+        constraints=convex.ConstraintMap(rows[i]) if rows[i] else convex.no_constraints(),
+        box=convex.Box(np.full(d, -2.0), np.full(d, 2.0))) for i, d in enumerate(dims)]
+    lap = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+                    [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]])
+    problem = ProblemInstance(agents, lap, 1)
+    x = np.array([0.25, 0.0, 0.75, 0.5, 1.0, -0.5, 1.0])
+    mu = np.array([0.5, -1.7e308, 0.25, 1.0, 2.0, 2.0])
+    return problem, x, np.linspace(-1.0, 1.0, 7), mu
+
+
+SIDE_BY_SIDE = side_by_side()
+
+
+class TestScatterMatchesTheSlotAndColumnScatters:
+    @settings(max_examples=300, deadline=None)
+    @example(SIDE_BY_SIDE)
+    @given(instances())
+    def test_select_bit_identical(self, case):
+        problem, x, lam, mu = case
+        kernel = problem.kernel
+        received = kernel.gathered(x, lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernel._select(x, lam, mu, *received)
+            want = reference_select(kernel, x, lam, mu, *received)
+        for a, b in zip(got, want, strict=True):
+            assert_bits_equal(a, b)
+
+    def test_the_side_by_side_case_bites(self):
+        problem, x, lam, mu = SIDE_BY_SIDE
+        kernel = problem.kernel
+        for family in (kernel.quad, kernel.abs, kernel.exp, kernel.con_quad, kernel.con_abs,
+                       kernel.con_exp):
+            assert len(set(family.pos.tolist())) < family.size  # duplicate positions
+        with np.errstate(over="ignore", invalid="ignore"):
+            sel, base, dlam, pp, g = kernel._select(x, lam, mu, *kernel.gathered(x, lam))
+            assert np.isnan(0.0 * (1e308 + 1e308 * np.exp(x[1])))  # the term it skips
+        overflowing = problem.mu_block(1).start + 1
+        assert g[overflowing] == 1e308 and pp[overflowing] == 0.0
+        assert (pp[np.arange(len(pp)) != overflowing] > 0.0).all()
+        assert np.isfinite(base).all() and np.isfinite(sel).all()
 
 
 class TestLocality:

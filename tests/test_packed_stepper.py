@@ -60,6 +60,12 @@ def reference_residuals(kernel, velocity):
     )
 
 
+#: the error state ``step`` and the driver loop run under: an overflow
+#: becomes inf or NaN without a RuntimeWarning
+QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@QUIET
 def reference_step(kernel, stage, rows, z, k1, n, t, h, method):
     x, lam, mu = z
     if k1 is None:
@@ -101,6 +107,7 @@ class ReferenceTrajectory:
     wall_time: float
 
 
+@QUIET
 def reference_drive(problem, kernel, stage, rows, z, t0, h, method, t_max, kkt_tol,
                     record_every):
     times, states, residuals, objectives, violations = [], [], [], [], []
