@@ -313,10 +313,14 @@ class _Exchange:
 def _table_log(log):
     """The ``MessageLog`` an exchange records into: ``log`` itself (or
     None), or for a list a fresh one whose messages extend the list when
-    the block ends, however it ends."""
+    the block ends, however it ends.  A ``log`` that is none of these,
+    nor has an ``extend``, raises ``InvalidInputError`` before the block."""
     if log is None or isinstance(log, MessageLog):
         yield log
         return
+    if not callable(getattr(log, "extend", None)):
+        raise InvalidInputError(
+            f"a message log must be a MessageLog, a list or None, got {type(log).__name__}")
     table = MessageLog()
     try:
         yield table
@@ -388,8 +392,9 @@ def run_decentralized(
     _check_settings(h, method, t_max, kkt_tol, record_every)
     state = init if init is not None else initial_state(problem, "zeros")
     z = _packed_state(state, problem)
-    agents = build_agents(problem, state)
-    kernel = _stacked_kernel(agents)
+    if not laplacian_is_connected(problem.laplacian):
+        raise InvalidInputError("the coupling graph must be connected")
+    kernel = problem.kernel
     with _table_log(message_log) as table:
         exchange = _Exchange(kernel, table)
         trajectory = _drive(problem, kernel, exchange.stage, capture_kinks, z, state.t, h,
