@@ -22,7 +22,7 @@ from .dynamics import (
 from .errors import DivergenceError, InvalidInputError, NumericalError, _integer
 from .network import MessageLog, run_decentralized, write_message_log_csv
 from .oracle import brute_force_solve
-from .problemfile import _parse_init, parse_problem
+from .problemfile import _fmt, _parse_init, parse_problem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,10 +90,6 @@ def _text(path, what) -> str:
         raise InvalidInputError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
 
-def _fmt(v) -> str:
-    return f"{v:.17g}"
-
-
 def _resolve_init(args, problem, file_init):
     if args.init is None:
         return file_init if file_init is not None else initial_state(problem, "zeros")
@@ -143,6 +139,8 @@ def _write_summary(path, problem, trajectory, mode, method, h):
 def cmd_solve(args) -> int:
     if args.log_messages and not args.decentralized:
         raise InvalidInputError("--log-messages needs --decentralized")
+    if args.seed is not None and args.init != "random":
+        raise InvalidInputError("--seed needs --init random")
     loaded = parse_problem(args.problem)
     problem, settings = loaded.problem, loaded.settings
     h = args.h if args.h is not None else settings.h

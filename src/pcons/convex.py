@@ -193,19 +193,11 @@ class ConvexExpr:
     # -- evaluation ------------------------------------------------------
 
     def value(self, x) -> float:
-        x = self._check_arity(x)
-        total = float(self.lin @ x) + self.const
-        if len(self.quad_idx):
-            d = x[self.quad_idx] - self.quad_center
-            total += float(self.quad_weight @ (d * d))
-        if len(self.abs_idx):
-            total += float(self.abs_weight @ np.abs(x[self.abs_idx] - self.abs_center))
-        if len(self.exp_idx):
-            total += float(self.exp_weight @ np.exp(x[self.exp_idx]))
-        return total
+        """The value at one point ``x`` of R^dim, as ``value_many`` gives it."""
+        return float(self.value_many(self._check_arity(x)))
 
     def value_many(self, points) -> np.ndarray:
-        """Vectorized ``value`` over an array of shape (..., dim).
+        """The value at every point of an array of shape (..., dim).
 
         ``points`` must be real numbers (``errors._reals``).  Never
         writes into ``points``.  Each atom family gathers one copy
@@ -404,8 +396,7 @@ class Box:
 
     def violation(self, x) -> float:
         """Max-norm distance from the box (0 inside)."""
-        x = self._point(x)
-        return float(np.max(np.maximum(self.lower - x, 0.0) + np.maximum(x - self.upper, 0.0), initial=0.0))
+        return float(_box_violation(self, self._point(x)))
 
     def sample(self, rng) -> np.ndarray:
         """Uniform sample; unbounded directions fall back to a unit window."""
@@ -424,6 +415,15 @@ def _box_fault(lower, upper) -> str:
     if (lower == np.inf).any() or (upper == -np.inf).any():
         return "box is empty: a lower bound is +inf or an upper bound is -inf"
     return "box is empty: a lower bound exceeds its upper bound"
+
+
+def _box_violation(bounds, x):
+    """The largest violation of the ``bounds.lower`` and ``bounds.upper``
+    of a ``Box`` (or a kernel's stacked bounds) by x, or by each row of a
+    (states, dim) x."""
+    under = np.maximum(bounds.lower - x, 0.0)
+    over = np.maximum(x - bounds.upper, 0.0)
+    return np.max(under + over, axis=-1, initial=0.0)
 
 
 def whole_space(dim: int) -> Box:

@@ -11,10 +11,11 @@ multiplier per constraint row.  The flow
 drives x to a KKT point of the coupled problem; ``gain`` is one plus the
 largest eigenvalue of the coupling matrix K.  Time stepping is explicit
 fixed-step Euler or classical rk4 on the packed state z = [x, lambda,
-mu].  One stepper and one driver loop serve both execution modes; they
-differ only in the stage evaluator that supplies the packed velocity at
-a stage state: a gather from the state here, an exchange between agents
-in ``pcons.network``.
+mu].  One stepper, one driver loop and one stage evaluator, ``_Exchange``,
+serve both execution modes: a stage is one exchange of every agent's
+shared components, then one call of the compiled velocity kernel.  The
+modes differ only in what they pass it: ``pcons.network`` a message log
+to record the payloads into, this module none.
 
 Two practical refinements address the nonsmooth sliding modes created by
 absolute-value atoms (fixed-step explicit methods otherwise chatter at a
@@ -44,7 +45,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .convex import KINK_TOLERANCE, Box, ConstraintMap, ConvexExpr, no_constraints
+from .convex import KINK_TOLERANCE, Box, ConstraintMap, ConvexExpr, _box_violation, no_constraints
 from .errors import (
     DivergenceError, InvalidInputError, NumericalError, _integer, _positive, _reals,
 )
@@ -154,21 +155,26 @@ class ProblemInstance:
         return _reals(x, "stacked vector", (self.total_dim,))
 
     def objective_value(self, x) -> float:
-        """Sum of the agents' objectives, added left to right from 0.0.
+        """Sum of the agents' objectives, added left to right from 0.0."""
+        return float(self._objective_sums(self._stacked(x)))
+
+    def _objective_sums(self, xs):
+        """``objective_value`` of the stacked x, or of each row of a
+        (states, total_dim) ``xs``.
 
         An explicit loop, because ``sum`` of floats is compensated from
         Python 3.12 on and would round differently between versions.
         """
         total = 0.0
-        for value in self.kernel.objective_values(self._stacked(x)).tolist():
-            total += value
+        for values in self.kernel.objective_value_rows(xs).T:
+            total += values
         return total
 
     def constraint_values(self, x) -> np.ndarray:
         return self.kernel.constraint_values(self._stacked(x))
 
     def box_violation(self, x) -> float:
-        return float(_box_violations(self.kernel, self._stacked(x)))
+        return float(_box_violation(self.kernel, self._stacked(x)))
 
     def _probe_slater(self, samples: int = 200):
         """Draw up to ``samples`` points per agent from one ``default_rng(0)``."""
@@ -195,14 +201,6 @@ def _slices(sizes):
     of x (or lambda), or of mu, in ``ProblemInstance`` and the kernel."""
     stops = list(accumulate(sizes, initial=0))
     return tuple(slice(a, b) for a, b in zip(stops[:-1], stops[1:]))
-
-
-def _box_violations(kernel, x):
-    """The largest box violation of the stacked x, or of each row of a
-    (states, total_dim) x."""
-    under = np.maximum(kernel.lower - x, 0.0)
-    over = np.maximum(x - kernel.upper, 0.0)
-    return np.max(under + over, axis=-1, initial=0.0)
 
 
 def coupling_gain(pc: PartialConsensusMatrix) -> float:
@@ -628,12 +626,32 @@ def _snap(kernel, tables, x, x_prev, v, mu, h) -> bool:
     return changed
 
 
-def _gather_stage(kernel, z, n=0):
-    """The centralized stage evaluator: the packed velocity at the packed
-    state ``z``, every row's payloads gathered from the state in one index
-    per array; the step index ``n`` is not needed."""
-    x, lam, mu = kernel.split(z)
-    return kernel.pack(kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam)))
+class _Exchange:
+    """The stage evaluator of both execution modes: one exchange, then the kernel.
+
+    Each row sends its shared prefix along every incident edge and
+    receives its payloads through ``VelocityKernel.gathered``.  Only when
+    ``log`` is a ``MessageLog`` (a decentralized run's) is the payload
+    table of step index ``n`` built and recorded as round ``n``; ``sent``
+    counts the directed payloads.  A call is one exchange at (x, lambda,
+    mu) and returns ``evaluate``'s velocity; ``stage`` is the same
+    exchange at a packed state, packed by ``VelocityKernel.pack``, as the
+    stepper calls it.
+    """
+
+    def __init__(self, kernel, log=None):
+        self.kernel, self.log, self.sent = kernel, log, 0
+
+    def __call__(self, x, lam, mu, n):
+        kernel = self.kernel
+        if self.log is not None:
+            self.log.record(kernel.edges, n, *kernel.payloads(x, lam))
+        self.sent += len(kernel.edges)
+        return kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam))
+
+    def stage(self, z, n=0):
+        """The packed velocity (dz, g) at the packed state ``z``."""
+        return self.kernel.pack(self(*self.kernel.split(z), n))
 
 
 def _check_state(state, problem):
@@ -676,7 +694,7 @@ def rhs(state: SolverState, problem: ProblemInstance):
     """(dx, dlambda, dmu) of the flow at ``state``; dlambda is +0.0 off
     the shared block."""
     kernel = problem.kernel
-    dz, _ = _gather_stage(kernel, _packed_state(state, problem))
+    dz, _ = _Exchange(kernel).stage(_packed_state(state, problem))
     finite = np.isfinite(dz)
     if not finite.all():
         where = kernel.locate(int(np.argmin(finite)))
@@ -711,7 +729,7 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
     part of g(x).
     """
     kernel = problem.kernel
-    velocity = _gather_stage(kernel, _packed_state(state, problem))
+    velocity = _Exchange(kernel).stage(_packed_state(state, problem))
     return KKTResidual(*_residual_norms(kernel, velocity))
 
 
@@ -758,7 +776,7 @@ def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "
     _check_settings(h, method)
     z = _packed_state(state, problem)
     kernel = problem.kernel
-    new = _step(kernel, partial(_gather_stage, kernel), False, z, None, 0, state.t, h, method)
+    new = _step(kernel, _Exchange(kernel).stage, False, z, None, 0, state.t, h, method)
     return SolverState(*kernel.split(new), state.t + h)
 
 
@@ -820,11 +838,7 @@ class Trajectory:
             self._blocks[-1] = self._blocks[-1][:rows]
 
     def _objectives(self, rows) -> np.ndarray:
-        """Each row's objective, added as ``objective_value`` adds it."""
-        total = np.zeros(len(rows))
-        for values in self._problem.kernel.objective_value_rows(rows[:, : self._n]).T:
-            total += values
-        return total
+        return self._problem._objective_sums(rows[:, : self._n])
 
     def _column(self, c) -> np.ndarray:
         return np.concatenate([rows[:, c] for rows in self._blocks])
@@ -853,7 +867,7 @@ class Trajectory:
     @property
     def box_violations(self) -> list:
         kernel = self._problem.kernel
-        return np.concatenate([_box_violations(kernel, rows[:, : self._n])
+        return np.concatenate([_box_violation(kernel, rows[:, : self._n])
                                for rows in self._blocks]).tolist()
 
     @property
@@ -933,7 +947,7 @@ def integrate(
     state = init if init is not None else initial_state(problem, "zeros")
     z = _packed_state(state, problem)
     kernel = problem.kernel
-    return _drive(problem, kernel, partial(_gather_stage, kernel), capture_kinks, z, state.t,
+    return _drive(problem, kernel, _Exchange(kernel).stage, capture_kinks, z, state.t,
                   h, method, t_max, kkt_tol, record_every)
 
 

@@ -1,21 +1,21 @@
 """Decentralized execution of the flow as message-passing agents.
 
 Each agent owns only its objective, constraints and box, plus the
-Laplacian weights of its incident edges.  A decentralized run is the
-centralized one with another stage evaluator: the stepper and driver
-loop of ``pcons.dynamics`` ask for the velocity at every stage state,
-and here each such evaluation is one exchange, in which every agent
-sends the shared components of (x_i, lambda_i) along its edges,
-followed by one call of the compiled velocity kernel on every agent's
-row, which receives its payloads through the gather index of the
-centralized stage.  An agent keeps only its own problem, neighbors and
-state; the kernel, whose rows are the agents in id order, is compiled
-from the agents' current problems, neighbors, depth and gain, and
-derives each row's slices and kink table from them.  A row reads only
-its own block and the payloads delivered to it, and kink capture is the
-kernel's own (``VelocityKernel.capture``), which checks the snaps with
-the kernel's own ``evaluate``, so the run reproduces the centralized
-trajectory bit for bit.  The "network" is an in-process simulation:
+Laplacian weights of its incident edges.  A decentralized run drives the
+stepper, driver loop and stage evaluator (``_Exchange``) of
+``pcons.dynamics`` that the centralized run drives: each stage is one
+exchange, in which every agent sends the shared components of
+(x_i, lambda_i) along its edges, followed by one call of the compiled
+velocity kernel on every agent's row.  Here the exchange may also record
+every payload in a message log, and the run counts the payloads.  An
+agent keeps only its own problem, neighbors and state; the kernel, whose
+rows are the agents in id order, is compiled from the agents' current
+problems, neighbors, depth and gain, and derives each row's slices and
+kink table from them.  A row reads only its own block and the payloads
+delivered to it, and kink capture is the kernel's own
+(``VelocityKernel.capture``), which checks the snaps with the kernel's
+own ``evaluate``, so the run reproduces the centralized trajectory bit
+for bit.  The "network" is an in-process simulation:
 rounds are lockstep, there is no loss or delay.
 
 One round is one step.  rk4 needs neighbor values at every stage state,
@@ -41,6 +41,7 @@ from .dynamics import (
     Trajectory,
     VelocityKernel,
     _QUIET,
+    _Exchange,
     _check_settings,
     _check_state,
     _drive,
@@ -179,7 +180,6 @@ class Agent:
         self.problem: AgentProblem = problem
         self.x, self.lam, self.mu = self._own_block(x, lam, mu)
         self.round_index = 0
-        self._own = None  # one-agent kernel, compiled on first use
         self._stack = None  # the stacked kernel this agent was last a row of
 
     def payload(self, x=None, lam=None):
@@ -193,8 +193,8 @@ class Agent:
 
         ``received`` maps neighbor index to (x_shared, lam_shared); a
         missing payload, or a part that is not ``depth`` real numbers, is a
-        protocol violation.  Runs the velocity kernel on this agent's
-        one-agent slice and returns (dx, dlambda_shared, dmu, g).
+        protocol violation.  Compiles this agent alone into a velocity
+        kernel, runs it and returns (dx, dlambda_shared, dmu, g).
         """
         parts = []
         for j, _w in self.neighbors:
@@ -203,11 +203,10 @@ class Agent:
             parts.append([_reals(part, f"agent {self.id} received a payload from agent {j + 1} "
                                  f"whose {name} part", (self.depth,), ProtocolError)
                           for part, name in zip(received[j], ("x", "lambda"))])
-        if self._own is None or not _compiled_from(self._own, [self]):
-            self._own = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
+        kernel = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
         shape = (1, len(self.neighbors), self.depth)
         recv_x, recv_lam = (np.array([p[k] for p in parts]).reshape(shape) for k in (0, 1))
-        dx, dlam, dmu, g = self._own.evaluate(*self._own_block(x, lam, mu), recv_x, recv_lam)
+        dx, dlam, dmu, g = kernel.evaluate(*self._own_block(x, lam, mu), recv_x, recv_lam)
         return dx, dlam[0], dmu, g
 
     def _own_block(self, x, lam, mu):
@@ -238,30 +237,24 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
     return agents
 
 
-def _compiled_from(kernel, agents) -> bool:
-    """Whether ``kernel``'s rows were compiled from ``agents``' current
-    problems (compared by identity), neighbors, depth and gain."""
-    return len(kernel.agents) == len(agents) and all(
-        a.problem is p and tuple(a.neighbors) == nb
-        and a.depth == kernel.depth and a.gain == kernel.gain
-        for a, p, nb in zip(agents, kernel.agents, kernel.neighbors)
-    )
-
-
 def _stacked_kernel(agents) -> VelocityKernel:
     """The kernel whose rows are ``agents``, compiled from their own data.
 
     The agents must be listed in id order 1..N with every neighbor among
-    them, and agree on the depth and the gain, else ``ProtocolError``.  A
-    kernel is reused only if it was compiled from the agents' current
-    problems, neighbors, depth and gain.
+    them, and agree on the depth and the gain, else ``ProtocolError``.  The
+    kernel the first agent was last a row of is reused only if it was
+    compiled from the agents' current problems (compared by identity),
+    neighbors, depth and gain.
     """
     n = len(agents)
     if [a.id for a in agents] != list(range(1, n + 1)):
         raise ProtocolError(f"agents must be listed in id order 1..{n}")
     kernel = agents[0]._stack
-    stale = kernel is None or any(a._stack is not kernel for a in agents)
-    if stale or not _compiled_from(kernel, agents):
+    if kernel is None or len(kernel.agents) != n or not all(
+        a.problem is p and tuple(a.neighbors) == nb
+        and a.depth == kernel.depth and a.gain == kernel.gain
+        for a, p, nb in zip(agents, kernel.agents, kernel.neighbors)
+    ):
         if any(j >= n for a in agents for j, _ in a.neighbors):
             raise ProtocolError(f"a neighbor lies outside the {n} listed agents")
         for field in ("depth", "gain"):
@@ -279,34 +272,6 @@ def _stacked_kernel(agents) -> VelocityKernel:
         for agent in agents:
             agent._stack = kernel
     return kernel
-
-
-class _Exchange:
-    """The decentralized stage evaluator: one exchange, then the kernel.
-
-    Each agent sends its shared prefix along every incident edge; the
-    receivers get their payloads through ``VelocityKernel.gathered``, as
-    the centralized stage does.  Only when ``log`` is a ``MessageLog`` is
-    the payload table of step index ``n`` built and recorded as round
-    ``n``; ``sent`` counts the directed payloads.  A call is one exchange
-    at (x, lambda, mu) and returns ``evaluate``'s velocity; ``stage`` is
-    the same exchange at a packed state, as the stepper calls it.
-    """
-
-    def __init__(self, kernel, log):
-        self.kernel, self.log, self.sent = kernel, log, 0
-
-    def __call__(self, x, lam, mu, n):
-        kernel = self.kernel
-        if self.log is not None:
-            self.log.record(kernel.edges, n, *kernel.payloads(x, lam))
-        self.sent += len(kernel.edges)
-        return kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam))
-
-    def stage(self, z, n):
-        """The packed velocity (dz, g) at the packed state ``z``, packed
-        by ``VelocityKernel.pack`` as the centralized gather packs it."""
-        return self.kernel.pack(self(*self.kernel.split(z), n))
 
 
 @contextmanager

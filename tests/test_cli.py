@@ -318,6 +318,18 @@ class TestOneErrorLine:
         self.assert_one_error(capsys, ["solve", EX2, "--out", str(tmp_path / "run"),
                                        "--init", "random"], "PCONS_SEED must be an integer >= 0")
 
+    @pytest.mark.parametrize("init", [[], ["--init", "zeros"]])
+    @pytest.mark.parametrize("seed", ["5", "-1"])
+    def test_seed_without_random_init(self, tmp_path, capsys, init, seed):
+        out = tmp_path / "run"
+        self.assert_one_error(capsys, ["solve", EX2, "--out", str(out), "--t-max", "0.01",
+                                       *init, "--seed", seed], "--seed needs --init random")
+        assert not out.exists()
+
+    def test_seed_variable_without_random_init_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PCONS_SEED", "abc")
+        assert main(["solve", EX2, "--out", str(tmp_path / "run"), "--t-max", "0.002"]) == 2
+
     def test_seed_zero_is_a_seed(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["--init", "random", "--t-max", "0.002"]
