@@ -9,11 +9,15 @@ by a negative factor raise ``ConvexityError``.
 Subgradient selection is deterministic: at differentiable points the
 gradient is returned, and at an absolute-value kink (within
 ``KINK_TOLERANCE``) the minimal-norm element 0 is chosen, so kink points
-are genuine equilibrium candidates for the projected dynamics.
+are genuine equilibrium candidates for the projected dynamics.  The rule
+has one body, ``_selected`` and ``_interval`` over flattened atom
+families (``_Atoms``): ``ConvexExpr`` applies them to its own atoms, and
+the velocity kernel in ``pcons.dynamics`` to every agent's at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -87,6 +91,70 @@ def _columns(atoms):
         return _NO_COLUMNS
     idx, center, weight = zip(*atoms)
     return np.array(idx, dtype=int), np.array(center, dtype=float), np.array(weight, dtype=float)
+
+
+# -- subgradient selection -------------------------------------------------
+
+
+class _Atoms:
+    """One atom family (``"quad"``, ``"abs"`` or ``"exp"``) of many
+    expressions, flattened.
+
+    ``coord`` indexes the point and ``pos`` the accumulator the atoms
+    add into.  ``add`` scatters with ``np.add.at``, which adds duplicate
+    atoms one at a time, in the order their expression lists them.  An
+    empty family keeps only its ``size`` 0, and every reader skips it by
+    its size.
+    """
+
+    size = 0
+
+    def __init__(self, family, parts):
+        # parts: (pos offset, coord offset, expression); a square's weight is doubled
+        parts = [(p0 + idx, c0 + idx, e) for p0, c0, e in parts
+                 if len(idx := getattr(e, f"{family}_idx"))]
+        if not parts:
+            return
+        pos, coord, exprs = zip(*parts)
+        self.pos, self.coord = np.concatenate(pos), np.concatenate(coord)
+        self.center = np.concatenate([getattr(e, f"{family}_center", ()) for e in exprs])
+        weight = np.concatenate([getattr(e, f"{family}_weight") for e in exprs])
+        self.weight = 2.0 * weight if family == "quad" else weight
+        self.size = len(self.pos)
+
+    def add(self, acc, values):
+        np.add.at(acc, self.pos, values)
+
+
+def _selected(acc, x, quad, abs_, exp):
+    """Add the selected subgradient of the atoms at ``x`` into ``acc``,
+    in place, and return it: quad, abs (0 on a kink), then exp."""
+    if quad.size:
+        quad.add(acc, quad.weight * (x[quad.coord] - quad.center))
+    if abs_.size:
+        d = x[abs_.coord] - abs_.center
+        abs_.add(acc, abs_.weight * np.where(np.abs(d) < KINK_TOLERANCE, 0.0, np.sign(d)))
+    if exp.size:
+        exp.add(acc, exp.weight * np.exp(x[exp.coord]))
+    return acc
+
+
+def _interval(lo, x, quad, abs_, exp):
+    """(lo, hi): the subdifferential interval of the atoms at ``x`` added
+    into ``lo``, in place, and a copy of it: quad, then exp, then abs,
+    which adds [-w, w] where an atom sits on its kink."""
+    if quad.size:
+        quad.add(lo, quad.weight * (x[quad.coord] - quad.center))
+    if exp.size:
+        exp.add(lo, exp.weight * np.exp(x[exp.coord]))
+    hi = lo.copy()
+    if abs_.size:
+        d = x[abs_.coord] - abs_.center
+        at_kink = np.abs(d) < KINK_TOLERANCE
+        s = np.where(at_kink, 0.0, np.sign(d))
+        abs_.add(lo, abs_.weight * np.where(at_kink, -1.0, s))
+        abs_.add(hi, abs_.weight * np.where(at_kink, 1.0, s))
+    return lo, hi
 
 
 class NormalForm:
@@ -190,6 +258,12 @@ class ConvexExpr:
         """(coord, center) pairs where the expression is nondifferentiable."""
         return list(zip(self.abs_idx.tolist(), self.abs_center.tolist()))
 
+    @cached_property
+    def _atoms(self):
+        """The square, absolute-value and exponential ``_Atoms`` of this
+        expression alone, built on first use."""
+        return tuple(_Atoms(family, [(0, 0, self)]) for family in ("quad", "abs", "exp"))
+
     # -- evaluation ------------------------------------------------------
 
     def value(self, x) -> float:
@@ -229,18 +303,7 @@ class ConvexExpr:
 
     def subgradient(self, x) -> np.ndarray:
         """One deterministic element of the subdifferential at ``x``."""
-        x = self._check_arity(x)
-        g = self.lin.copy()
-        if len(self.quad_idx):
-            d = x[self.quad_idx] - self.quad_center
-            np.add.at(g, self.quad_idx, 2.0 * self.quad_weight * d)
-        if len(self.abs_idx):
-            d = x[self.abs_idx] - self.abs_center
-            s = np.where(np.abs(d) < KINK_TOLERANCE, 0.0, np.sign(d))
-            np.add.at(g, self.abs_idx, self.abs_weight * s)
-        if len(self.exp_idx):
-            np.add.at(g, self.exp_idx, self.exp_weight * np.exp(x[self.exp_idx]))
-        return g
+        return _selected(self.lin.copy(), self._check_arity(x), *self._atoms)
 
     def subgradient_interval(self, x):
         """Componentwise bounds (lo, hi) of the subdifferential at ``x``.
@@ -249,22 +312,7 @@ class ConvexExpr:
         only absolute-value atoms sitting on their kink contribute an
         interval, everything else is single-valued.
         """
-        x = self._check_arity(x)
-        lo = self.lin.copy()
-        if len(self.quad_idx):
-            d = x[self.quad_idx] - self.quad_center
-            np.add.at(lo, self.quad_idx, 2.0 * self.quad_weight * d)
-        if len(self.exp_idx):
-            np.add.at(lo, self.exp_idx, self.exp_weight * np.exp(x[self.exp_idx]))
-        if not len(self.abs_idx):
-            return lo, lo.copy()
-        hi = lo.copy()
-        d = x[self.abs_idx] - self.abs_center
-        at_kink = np.abs(d) < KINK_TOLERANCE
-        s = np.where(at_kink, 0.0, np.sign(d))
-        np.add.at(lo, self.abs_idx, self.abs_weight * np.where(at_kink, -1.0, s))
-        np.add.at(hi, self.abs_idx, self.abs_weight * np.where(at_kink, 1.0, s))
-        return lo, hi
+        return _interval(self.lin.copy(), self._check_arity(x), *self._atoms)
 
     # -- algebra ---------------------------------------------------------
 

@@ -45,7 +45,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .convex import KINK_TOLERANCE, Box, ConstraintMap, ConvexExpr, _box_violation, no_constraints
+from .convex import (
+    Box, ConstraintMap, ConvexExpr, _Atoms, _box_violation, _interval, _selected, no_constraints,
+)
 from .errors import (
     DivergenceError, InvalidInputError, NumericalError, _integer, _positive, _reals,
 )
@@ -260,36 +262,6 @@ def initial_state(problem: ProblemInstance, kind: str = "zeros", rng=None) -> So
 # -- velocity kernel ---------------------------------------------------------
 
 
-class _Atoms:
-    """One atom family (``"quad"``, ``"abs"`` or ``"exp"``) of many
-    expressions, flattened.
-
-    ``coord`` indexes the stacked x and ``pos`` the accumulator the atoms
-    add into.  ``add`` scatters with ``np.add.at``, which adds duplicate
-    atoms one at a time, in the order their expression lists them,
-    exactly like ``ConvexExpr``.  An empty family keeps only its
-    ``size`` 0, and every reader skips it by its size.
-    """
-
-    size = 0
-
-    def __init__(self, family, parts):
-        # parts: (pos offset, coord offset, expression); a square's weight is doubled
-        parts = [(p0 + idx, c0 + idx, e) for p0, c0, e in parts
-                 if len(idx := getattr(e, f"{family}_idx"))]
-        if not parts:
-            return
-        pos, coord, exprs = zip(*parts)
-        self.pos, self.coord = np.concatenate(pos), np.concatenate(coord)
-        self.center = np.concatenate([getattr(e, f"{family}_center", ()) for e in exprs])
-        weight = np.concatenate([getattr(e, f"{family}_weight") for e in exprs])
-        self.weight = 2.0 * weight if family == "quad" else weight
-        self.size = len(self.pos)
-
-    def add(self, acc, values):
-        np.add.at(acc, self.pos, values)
-
-
 class _Dots:
     """Value rows (constraint rows, or objectives) whose linear part or one
     atom family has one length.
@@ -367,14 +339,16 @@ class VelocityKernel:
     constraint rows and one objective value row per agent grouped by exact
     length, the constraint rows as subgradient entries (one per row and
     coordinate, agent by agent and row by row), the neighbor table padded
-    with zero weights, and the stacked box bounds.  Atoms and constraint
-    entries are scattered by ``np.add.at`` in that order, so every sum
-    adds its terms in the order ``ConvexExpr`` and ``ConstraintMap`` do.
-    One evaluator, ``_dot_values``, computes value rows at one state or a
-    block.  ``evaluate`` applies one fixed sequence of numpy operations to
-    every row; each row reads only its own block and the payloads
-    delivered to it.  An objective that is not a ``ConvexExpr`` is asked
-    for its own ``subgradient_interval`` on its block.
+    with zero weights, and the stacked box bounds.  ``convex._selected``
+    (constraint entries) and ``convex._interval`` (objectives) select the
+    subgradients on ``_Atoms`` whose ``coord`` indexes the stacked x, as
+    ``ConvexExpr`` does on its own, so every sum adds its terms in the
+    order ``ConvexExpr`` and ``ConstraintMap`` do.  One evaluator,
+    ``_dot_values``, computes value rows at one state or a block.
+    ``evaluate`` applies one fixed sequence of numpy operations to every
+    row; each row reads only its own block and the payloads delivered to
+    it.  An objective that is not a ``ConvexExpr`` is asked for its own
+    ``subgradient_interval`` on its block.
     """
 
     def __init__(self, agents, neighbors, depth, gain):
@@ -504,17 +478,7 @@ class VelocityKernel:
         pp = np.maximum(mu + g, 0.0)
         base = np.zeros(self.total_dim)
         if self.con_lin.size:
-            sub = self.con_lin.copy()
-            if self.con_quad.size:
-                q = self.con_quad
-                q.add(sub, q.weight * (x[q.coord] - q.center))
-            if self.con_abs.size:
-                a = self.con_abs
-                d = x[a.coord] - a.center
-                a.add(sub, a.weight * np.where(np.abs(d) < KINK_TOLERANCE, 0.0, np.sign(d)))
-            if self.con_exp.size:
-                e = self.con_exp
-                e.add(sub, e.weight * np.exp(x[e.coord]))
+            sub = _selected(self.con_lin.copy(), x, self.con_quad, self.con_abs, self.con_exp)
             m = pp[self.con_row]
             on = m != 0.0
             np.add.at(base, self.con_coord[on], m[on] * sub[on])
@@ -530,22 +494,8 @@ class VelocityKernel:
             dlam += w * (xs - xj)
         base[self.shared] += coup
 
-        # objective subdifferential interval: quad, exp, then abs
-        lo = self.lin.copy()
-        if self.quad.size:
-            q = self.quad
-            q.add(lo, q.weight * (x[q.coord] - q.center))
-        if self.exp.size:
-            e = self.exp
-            e.add(lo, e.weight * np.exp(x[e.coord]))
-        hi = lo.copy()
-        if self.abs.size:
-            a = self.abs
-            d = x[a.coord] - a.center
-            at_kink = np.abs(d) < KINK_TOLERANCE
-            s = np.where(at_kink, 0.0, np.sign(d))
-            a.add(lo, a.weight * np.where(at_kink, -1.0, s))
-            a.add(hi, a.weight * np.where(at_kink, 1.0, s))
+        # objective subdifferential interval
+        lo, hi = _interval(self.lin.copy(), x, self.quad, self.abs, self.exp)
         for _, blk, objective in self.opaque:
             lo[blk], hi[blk] = objective.subgradient_interval(x[blk])
 
@@ -837,9 +787,6 @@ class Trajectory:
         if rows:
             self._blocks[-1] = self._blocks[-1][:rows]
 
-    def _objectives(self, rows) -> np.ndarray:
-        return self._problem._objective_sums(rows[:, : self._n])
-
     def _column(self, c) -> np.ndarray:
         return np.concatenate([rows[:, c] for rows in self._blocks])
 
@@ -862,7 +809,8 @@ class Trajectory:
 
     @property
     def objectives(self) -> list:
-        return np.concatenate([self._objectives(rows) for rows in self._blocks]).tolist()
+        sums = self._problem._objective_sums
+        return np.concatenate([sums(rows[:, : self._n]) for rows in self._blocks]).tolist()
 
     @property
     def box_violations(self) -> list:
@@ -1054,9 +1002,10 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
     four residuals, and V when a reference state is supplied.  Floats are
     printed with 17 significant digits, so identical runs produce
     byte-identical files.  The rows are formatted straight from the
-    trajectory's blocks, and the objective column is computed per block.
-    ``problem`` must have the trajectory's dimensions, else
-    ``InvalidInputError`` is raised before the file is opened.
+    trajectory's blocks, and the objective and V columns are computed per
+    block from ``problem``, not from the run's own problem.  ``problem``
+    must have the trajectory's dimensions, else ``InvalidInputError`` is
+    raised before the file is opened.
     """
     n, m = problem.total_dim, problem.multiplier_dim
     if (n, 2 * n + m) != (trajectory._n, trajectory._width):
@@ -1081,7 +1030,7 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
         fh.write(",".join(header) + "\n")
         row = ",".join(["%.17g"] * len(header)) + "\n"
         for rows in trajectory._blocks:
-            columns = [rows[:, t], *rows[:, :w].T, trajectory._objectives(rows),
+            columns = [rows[:, t], *rows[:, :w].T, problem._objective_sums(rows[:, :n]),
                        *rows[:, trajectory._res].T]
             if ref is not None:
                 columns.append(np.array([_lyapunov(st, ref, problem).total

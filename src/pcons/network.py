@@ -303,15 +303,17 @@ def _capture_rows(agents, capture):
 def synchronous_round(agents, h, method="rk4", capture=True, log=None):
     """One synchronous exchange-and-step for every agent, in lockstep.
 
-    All agents must be at the same round number.  Every agent's x, lambda
-    and mu are read first: real numbers of its problem's lengths, all
-    finite, else ``InvalidInputError`` names the agent (and the first
-    non-finite entry, as "agent 2, mu_1").  Agents are mutated in
-    place and returned; the second element of the result is the number
-    of directed payloads sent.  A non-finite new state raises
-    ``NumericalError`` (its t counts rounds from 0); on any error the
-    agents are left as they were.
+    There must be at least one agent (checked first), all at the same
+    round number.  Every agent's x, lambda and mu are read before the
+    step: real numbers of its problem's lengths, all finite, else
+    ``InvalidInputError`` names the agent (and the first non-finite
+    entry, as "agent 2, mu_1").  Agents are mutated in place and
+    returned; the second element of the result is the number of directed
+    payloads sent.  A non-finite new state raises ``NumericalError`` (its
+    t counts rounds from 0); on any error the agents are left as they were.
     """
+    if not agents:
+        raise InvalidInputError("synchronous_round needs at least one agent")
     _check_settings(h, method)
     rounds = {a.round_index for a in agents}
     if len(rounds) != 1:

@@ -92,3 +92,22 @@ class TestBoxFaults:
         assert box.dim == len(lower)
         assert not box.lower.flags.writeable and not box.upper.flags.writeable
         assert np.array_equal(box.lower, lower) and np.array_equal(box.upper, upper)
+
+
+class TestTrajectoryWriterObjective:
+    def test_objective_column_comes_from_the_problem_argument(self, tmp_path):
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+        def two_agents(center):
+            agents = [pcons.AgentProblem(pcons.quadratic(1, 0, center))] * 2
+            return pcons.ProblemInstance(agents, lap, 1)
+
+        trajectory = integrate(two_agents(0.5), h=1e-3, t_max=3e-3)
+        other = two_agents(3.0)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(trajectory, path, other)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        column = header.split(",").index("objective")
+        written = [float(row.split(",")[column]) for row in rows]
+        assert written[0] == other.objective_value(np.zeros(2)) == 18.0
+        assert written == [other.objective_value(st.x) for st in trajectory.states]

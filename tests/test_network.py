@@ -529,3 +529,11 @@ class TestMessageListReads:
                                Message(np.int64(3), 2, 1, [-0.0, 1], [2.5, -np.inf])], path)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [
             "0,1,2,nan;inf", "3,2,1,-0;1;2.5;-inf"]
+
+
+class TestEmptyAgentList:
+    @pytest.mark.parametrize("agents", [[], ()])
+    @pytest.mark.parametrize("h", [1e-3, -1.0, "not a step"])
+    def test_rejected_before_anything_else(self, agents, h):
+        with pytest.raises(InvalidInputError, match="^synchronous_round needs at least one agent$"):
+            synchronous_round(agents, h, method="no such method")
