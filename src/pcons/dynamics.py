@@ -595,7 +595,7 @@ class _Exchange:
     def __call__(self, x, lam, mu, n):
         kernel = self.kernel
         if self.log is not None:
-            self.log.record(kernel.edges, n, *kernel.payloads(x, lam))
+            self.log._record(kernel.edges, n, *kernel.payloads(x, lam))
         self.sent += len(kernel.edges)
         return kernel.evaluate(x, lam, mu, *kernel.gathered(x, lam))
 
@@ -738,7 +738,8 @@ def capture_agent_kinks(agent, table, x_block, x_prev_block, k1_block, mu_block,
     return _snap(kernel, {0: table}, x_block, x_prev_block, k1_block, mu_block, h)
 
 
-#: values a ``Trajectory`` block holds, which keeps every block small
+#: values a ``Trajectory`` or ``network.MessageLog`` block holds, and a CSV
+#: writer formats per write: the one bound that keeps every array small
 _BLOCK_VALUES = 1 << 14
 
 
@@ -982,14 +983,10 @@ def lyapunov_value(
 
 # -- trajectory export -------------------------------------------------------
 
-#: values a CSV writer formats per write, which bounds its extra memory
-_CSV_CHUNK_VALUES = 1 << 14
-
-
 def _write_rows(fh, row, columns):
     """Write ``row % values`` for every row of the equal-length 1-D
-    ``columns``, a chunk of about ``_CSV_CHUNK_VALUES`` values at a time."""
-    rows = max(1, _CSV_CHUNK_VALUES // len(columns))
+    ``columns``, a chunk of about ``_BLOCK_VALUES`` values at a time."""
+    rows = max(1, _BLOCK_VALUES // len(columns))
     for start in range(0, len(columns[0]), rows):
         part = [c[start : start + rows].tolist() for c in columns]
         fh.write("".join(map(row.__mod__, zip(*part))))

@@ -58,13 +58,14 @@ class ProtocolError(RuntimeError):
     """Raised when the synchronous message protocol is violated."""
 
 
-def _positive(value, what, zero=False) -> float:
-    """``value`` as a float; it must be a finite positive real, not a bool.
-    With ``zero`` it may also be 0, as a tolerance may."""
+def _positive(value, what, zero=False, error=InvalidInputError) -> float:
+    """``value`` as a float; it must be a finite positive real, not a bool,
+    else ``error`` is raised.  With ``zero`` it may also be 0, as a
+    tolerance may."""
     if (isinstance(value, bool) or not isinstance(value, Real)
             or not (0.0 <= value if zero else 0.0 < value) or not value < math.inf):
         sign = "nonnegative" if zero else "positive"
-        raise InvalidInputError(f"{what} must be finite and {sign}, got {value!r}")
+        raise error(f"{what} must be finite and {sign}, got {value!r}")
     return float(value)
 
 

@@ -21,10 +21,10 @@ rounds are lockstep, there is no loss or delay.
 One round is one step.  rk4 needs neighbor values at every stage state,
 so an rk4 round costs four exchanges; an Euler round costs one.
 
-A ``MessageLog`` keeps the traffic as one payload table per exchange,
-built only for a log, and builds a ``Message``, with read-only payload
-views, only when one is read; ``write_message_log_csv`` formats the
-tables in bulk.
+A ``MessageLog`` keeps the traffic as one list of blocks of payload
+tables, built only for a log, and builds a ``Message``, with read-only
+payload views, only when one is read; ``write_message_log_csv`` formats
+each block's table in bulk.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
     AgentProblem,
     ProblemInstance,
@@ -50,7 +51,7 @@ from .dynamics import (
     _write_rows,
     initial_state,
 )
-from .errors import InvalidInputError, ProtocolError, _integer, _reals
+from .errors import InvalidInputError, ProtocolError, _integer, _positive, _reals
 from .pcmatrix import laplacian_is_connected
 
 
@@ -67,98 +68,81 @@ class Message:
     lam_shared: np.ndarray
 
 
-#: payloads an ``_Exchanges`` block holds, which keeps every array of a
-#: log and of its CSV tables small
-_BLOCK_PAYLOADS = 4096
-
-
-class _Exchanges:
-    """Consecutive exchanges over one edge list: their step indices and
-    payload tables, in blocks of a fixed number of exchanges."""
-
-    def __init__(self, edges, shape):
-        self.edges, self.shape, self.rounds = edges, shape, []
-        self.per_block = max(1, _BLOCK_PAYLOADS // len(edges))
-        self.blocks = []  # (x tables, lambda tables) of per_block exchanges
-
-    def append(self, n, px, pl):
-        k = len(self.rounds) % self.per_block
-        if k == 0:
-            size = (self.per_block, *self.shape)
-            self.blocks.append((np.empty(size), np.empty(size)))
-        x, lam = self.blocks[-1]
-        x[k], lam[k] = px, pl
-        self.rounds.append(n)
-
-    def messages(self, e, edges):
-        """The ``Message``s of exchange ``e`` along ``edges``, (receiver,
-        sender) pairs; their payloads are read-only views of the log."""
-        (x, lam), b = self.blocks[e // self.per_block], e % self.per_block
-        n, px, pl = self.rounds[e], x[b].view(), lam[b].view()
-        px.flags.writeable = pl.flags.writeable = False
-        return [Message(round_index=n, sender=j + 1, receiver=i + 1,
-                        x_shared=px[j], lam_shared=pl[j]) for i, j in edges]
-
-
 class MessageLog:
-    """Every payload of a run, kept as one table per exchange.
+    """Every payload of a run, kept as one payload table per exchange.
 
-    An exchange is recorded as its step index (the round of its
-    payloads), the kernel's (receiver, sender) edge list and the payload
-    table ``VelocityKernel.payloads`` returns: every row's shared x and
-    lambda prefix.  No per-payload object is kept.  ``len()`` counts the
-    payloads; indexing, slicing and iteration build each ``Message`` on
-    demand, in the order of a list log: exchange by exchange, receiver by
-    receiver, neighbors ascending.  A slice is a list, as a list log's.
+    The log is one list of blocks ``[edges, step indices, tables]`` of
+    consecutive exchanges over one (receiver, sender) edge list, the
+    kernel's ``edges``.  An exchange's table is every row's shared x and
+    lambda prefix side by side, ``[x | lambda]``; a block holds as many as
+    keep the payload table its CSV writes within ``dynamics._BLOCK_VALUES``
+    values, and at least one.  ``len()`` counts the payloads; indexing,
+    slicing and iteration build each ``Message`` on demand, its payloads
+    read-only views of the two halves of its sender's row, in the order of
+    a list log: exchange by exchange, receiver by receiver, neighbors
+    ascending.  A slice is a list, as a list log's.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self._runs = []  # _Exchanges, one per change of edge list
+        self._blocks = []
         self._count = 0
 
-    def record(self, edges, n, px, pl):
+    def _record(self, edges, n, px, pl):
         """Log the exchange of step index ``n`` with payload table (px, pl)."""
         if not edges:
             return
-        if not self._runs or self._runs[-1].edges is not edges:
-            self._runs.append(_Exchanges(edges, px.shape))
-        self._runs[-1].append(n, px, pl)
+        block = self._blocks[-1] if self._blocks else None
+        if block is None or block[0] is not edges or len(block[1]) == len(block[2]):
+            rows, depth = px.shape
+            size = max(1, dynamics._BLOCK_VALUES // (2 * depth * len(edges)))
+            block = [edges, [], np.empty((size, rows, 2 * depth))]
+            self._blocks.append(block)
+            self._x, self._lam = block[2][..., :depth], block[2][..., depth:]  # halves to fill
+        rounds = block[1]
+        self._x[len(rounds)], self._lam[len(rounds)] = px, pl
+        rounds.append(n)
         self._count += len(edges)
+
+    @staticmethod
+    def _messages(block, e, edges):
+        """The ``Message``s of exchange ``e`` of ``block`` along ``edges``."""
+        table = block[2][e].view()
+        table.flags.writeable = False
+        depth, n = table.shape[1] // 2, block[1][e]
+        return [Message(round_index=n, sender=j + 1, receiver=i + 1,
+                        x_shared=table[j, :depth], lam_shared=table[j, depth:])
+                for i, j in edges]
 
     def __len__(self):
         return self._count
 
     def __iter__(self):
-        for run in self._runs:
-            for e in range(len(run.rounds)):
-                yield from run.messages(e, run.edges)
+        for block in self._blocks:
+            for e in range(len(block[1])):
+                yield from self._messages(block, e, block[0])
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(self._count)[k]]
         k = range(self._count)[k]  # IndexError and negative indices as a list
-        for run in self._runs:
-            size = len(run.rounds) * len(run.edges)
-            if k < size:
-                e, edge = divmod(k, len(run.edges))
-                return run.messages(e, run.edges[edge : edge + 1])[0]
-            k -= size
+        for block in self._blocks:
+            edges, rounds, _ = block
+            if k < len(rounds) * len(edges):
+                e, edge = divmod(k, len(edges))
+                return self._messages(block, e, edges[edge : edge + 1])[0]
+            k -= len(rounds) * len(edges)
 
-    def tables(self):
-        """(round, sender, receiver, payload) columns, one set per block of
-        exchanges; payload rows are x then lambda."""
-        for run in self._runs:
-            receiver, sender = np.array(run.edges).T
-            for b, (x, lam) in enumerate(run.blocks):
-                rounds = run.rounds[b * run.per_block : (b + 1) * run.per_block]
-                e = len(rounds)
-                payload = np.concatenate((x[:e, sender], lam[:e, sender]), axis=2)
-                yield (np.repeat(rounds, len(sender)), np.tile(sender + 1, e),
-                       np.tile(receiver + 1, e),
-                       payload.reshape(e * len(sender), payload.shape[2]))
+    def _tables(self):
+        """(round, sender, receiver, payload) columns, one set per block;
+        payload rows are x then lambda."""
+        for edges, rounds, tables in self._blocks:
+            receiver, sender = np.array(edges).T
+            e = len(rounds)
+            yield (np.repeat(rounds, len(edges)), np.tile(sender + 1, e),
+                   np.tile(receiver + 1, e), tables[:e, sender].reshape(e * len(edges), -1))
 
 
 class Agent:
@@ -169,7 +153,8 @@ class Agent:
     Laplacian entries, so they are positive.  ``problem``, ``neighbors``,
     ``depth`` and ``gain`` may be reassigned: a kernel compiled from
     earlier values is not reused, and the kink table comes from the
-    kernel, so it follows the problem.
+    kernel, so it follows the problem.  A kernel is compiled from the
+    fields as ``_read`` reads them, else ``ProtocolError`` names the agent.
     """
 
     def __init__(self, agent_id, problem, depth, gain, neighbors, x, lam, mu):
@@ -181,6 +166,27 @@ class Agent:
         self.x, self.lam, self.mu = self._own_block(x, lam, mu)
         self.round_index = 0
         self._stack = None  # the stacked kernel this agent was last a row of
+
+    def _read(self, n=None):
+        """(id, depth, gain, neighbors) as a kernel is compiled from them,
+        else ``ProtocolError``: integer id and depth (``errors._integer``),
+        the depth from 1 to the problem's dimension; a finite positive gain
+        and weights (``errors._positive``); integer neighbor indices that
+        ascend (a repeat is a parallel edge), skip the agent's own and,
+        among ``n`` agents, are below n."""
+        i = _integer(self.id, "an agent id", 1, ProtocolError)
+        depth = _integer(self.depth, f"agent {i}'s depth", 1, ProtocolError)
+        if depth > self.problem.dim:
+            raise ProtocolError(f"agent {i}'s depth {depth} exceeds its dimension "
+                                f"{self.problem.dim}")
+        neighbors = tuple((_integer(j, f"agent {i}'s neighbor index", 0, ProtocolError),
+                           _positive(w, f"agent {i}'s weight of neighbor {j!r}",
+                                     error=ProtocolError)) for j, w in self.neighbors)
+        index = [j for j, _ in neighbors]
+        if index != sorted(index) or i - 1 in index or n is not None and max(index, default=0) >= n:
+            raise ProtocolError(f"agent {i}'s neighbor indices {index} must ascend, skip its "
+                                f"own index {i - 1}" + ("" if n is None else f" and be below {n}"))
+        return i, depth, _positive(self.gain, f"agent {i}'s gain", error=ProtocolError), neighbors
 
     def payload(self, x=None, lam=None):
         """Shared components broadcast to neighbors (stage state override)."""
@@ -196,15 +202,16 @@ class Agent:
         protocol violation.  Compiles this agent alone into a velocity
         kernel, runs it and returns (dx, dlambda_shared, dmu, g).
         """
+        i, depth, gain, neighbors = self._read()
         parts = []
-        for j, _w in self.neighbors:
+        for j, _w in neighbors:
             if j not in received:
-                raise ProtocolError(f"agent {self.id} missing payload from agent {j + 1}")
-            parts.append([_reals(part, f"agent {self.id} received a payload from agent {j + 1} "
-                                 f"whose {name} part", (self.depth,), ProtocolError)
+                raise ProtocolError(f"agent {i} missing payload from agent {j + 1}")
+            parts.append([_reals(part, f"agent {i} received a payload from agent {j + 1} "
+                                 f"whose {name} part", (depth,), ProtocolError)
                           for part, name in zip(received[j], ("x", "lambda"))])
-        kernel = VelocityKernel([self.problem], [self.neighbors], self.depth, self.gain)
-        shape = (1, len(self.neighbors), self.depth)
+        kernel = VelocityKernel([self.problem], [neighbors], depth, gain)
+        shape = (1, len(neighbors), depth)
         recv_x, recv_lam = (np.array([p[k] for p in parts]).reshape(shape) for k in (0, 1))
         dx, dlam, dmu, g = kernel.evaluate(*self._own_block(x, lam, mu), recv_x, recv_lam)
         return dx, dlam[0], dmu, g
@@ -240,37 +247,31 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
 def _stacked_kernel(agents) -> VelocityKernel:
     """The kernel whose rows are ``agents``, compiled from their own data.
 
-    The agents must be listed in id order 1..N with every neighbor among
-    them, and agree on the depth and the gain, else ``ProtocolError``.  The
-    kernel the first agent was last a row of is reused only if it was
-    compiled from the agents' current problems (compared by identity),
-    neighbors, depth and gain.
+    The kernel the first agent was last a row of is reused only while the
+    agents' ids (by type and value), problems, neighbors, depth and gain
+    are the objects it was compiled from.  Otherwise every agent is read
+    (``Agent._read``); they must be listed in id order 1..N and agree on
+    the depth and gain, else ``ProtocolError``, and each keeps its fields
+    as read.
     """
     n = len(agents)
-    if [a.id for a in agents] != list(range(1, n + 1)):
-        raise ProtocolError(f"agents must be listed in id order 1..{n}")
     kernel = agents[0]._stack
     if kernel is None or len(kernel.agents) != n or not all(
-        a.problem is p and tuple(a.neighbors) == nb
-        and a.depth == kernel.depth and a.gain == kernel.gain
-        for a, p, nb in zip(agents, kernel.agents, kernel.neighbors)
+        type(a.id) is int and a.id == i and a.problem is p and a.neighbors is nb
+        and a.depth is kernel.depth and a.gain is kernel.gain
+        for i, a, p, nb in zip(range(1, n + 1), agents, kernel.agents, kernel.neighbors)
     ):
-        if any(j >= n for a in agents for j, _ in a.neighbors):
-            raise ProtocolError(f"a neighbor lies outside the {n} listed agents")
-        for field in ("depth", "gain"):
-            first = getattr(agents[0], field)
-            for a in agents:
-                if getattr(a, field) != first:
-                    raise ProtocolError(
-                        f"agents disagree on the {field}: agent 1 has {first!r}, "
-                        f"agent {a.id} has {getattr(a, field)!r}"
-                    )
-        kernel = VelocityKernel(
-            [a.problem for a in agents], [a.neighbors for a in agents],
-            agents[0].depth, agents[0].gain,
-        )
-        for agent in agents:
-            agent._stack = kernel
+        ids, depths, gains, neighbors = zip(*(a._read(n) for a in agents))
+        if ids != tuple(range(1, n + 1)):
+            raise ProtocolError(f"agents must be listed in id order 1..{n}")
+        for field, values in (("depth", depths), ("gain", gains)):
+            for i, value in zip(ids, values):
+                if value != values[0]:
+                    raise ProtocolError(f"agents disagree on the {field}: agent 1 has "
+                                        f"{values[0]!r}, agent {i} has {value!r}")
+        kernel = VelocityKernel([a.problem for a in agents], neighbors, depths[0], gains[0])
+        for a, i, nb in zip(agents, ids, kernel.neighbors):
+            a.id, a.depth, a.gain, a.neighbors, a._stack = i, kernel.depth, kernel.gain, nb, kernel
     return kernel
 
 
@@ -372,7 +373,7 @@ def run_decentralized(
 
 
 def _pack(messages):
-    """A sequence of ``Message``s as the columns of ``MessageLog.tables``,
+    """A sequence of ``Message``s as the columns of ``MessageLog._tables``,
     one set per run of one payload width.  Every field is read first, the
     round, sender and receiver by ``errors._integer`` and the payloads by
     ``errors._reals``, so a fault raises before a file is opened."""
@@ -398,7 +399,7 @@ def write_message_log_csv(messages, path):
     opened.  The payload column joins the shared x components and the
     shared lambda components with semicolons.
     """
-    tables = messages.tables() if isinstance(messages, MessageLog) else _pack(messages)
+    tables = messages._tables() if isinstance(messages, MessageLog) else _pack(messages)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("round,sender,receiver,payload\n")
         for rounds, senders, receivers, payload in tables:

@@ -1,6 +1,19 @@
 """Shared fixtures: the packaged example problems and random instances."""
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports this module to print a patch for a falsified property;
+# it pulls in libcst, whose mypy_extensions DeprecationWarning the
+# session's error filter would turn into an INTERNALERROR that ends the run
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst, hypothesis prints no patch either
+        pass
 
 import pcons
 from pcons import convex

@@ -537,3 +537,135 @@ class TestEmptyAgentList:
     def test_rejected_before_anything_else(self, agents, h):
         with pytest.raises(InvalidInputError, match="^synchronous_round needs at least one agent$"):
             synchronous_round(agents, h, method="no such method")
+
+
+class TestLogBlocks:
+    """One log fed by two kernels, its blocks filled by a small bound."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(METHODS), st.integers(1, 4),
+           st.integers(0, 4), st.sampled_from(["neighbors", "gain"]),
+           st.sampled_from([1, 5, 16, 40, 1 << 14]), st.data())
+    def test_matches_per_payload_reference(self, tmp_path_factory, seed, method, before, after,
+                                           field, block_values, data):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng)
+        p = ProblemInstance(p.agents, p.laplacian, min(a.dim for a in p.agents))
+        init = initial_state(p, "random", rng)
+
+        def feed(log):
+            agents = build_agents(p, init)
+            for k in range(before + after):
+                if k == before:  # a new kernel, so a new edges object
+                    if field == "neighbors":
+                        agents[0].neighbors = agents[0].neighbors[1:]
+                    for a in agents if field == "gain" else ():
+                        a.gain = 2.0 * a.gain
+                synchronous_round(agents, 1e-3, method, log=log)
+
+        want, table = [], MessageLog()
+        with per_payload_logging():
+            feed(want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network.dynamics, "_BLOCK_VALUES", block_values)
+            feed(table)
+        assert len(table) == len(want)
+        assert_same_messages(list(table), want)
+        assert_same_messages([table[k] for k in range(-len(want), len(want))], want + want)
+        for _ in range(3):
+            k = data.draw(st.slices(len(want) + 2))
+            assert_same_messages(table[k], want[k])
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                table[k]
+        out = tmp_path_factory.mktemp("blocks")
+        write_message_log_csv(table, out / "table.csv")
+        reference_write_message_log_csv(want, out / "reference.csv")
+        assert (out / "table.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+        for m in table:
+            for part in (m.x_shared, m.lam_shared):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[...] = 0.0
+        blocks = table._blocks
+        for (edges, rounds, _), (*_, payload) in zip(blocks, table._tables(), strict=True):
+            assert len(rounds) == 1 or payload.size <= block_values
+            assert payload.shape[0] == len(rounds) * len(edges)
+        for earlier, later in zip(blocks, blocks[1:]):  # a block ends full or at a new kernel
+            assert earlier[0] is not later[0] or len(earlier[1]) == len(earlier[2])
+
+
+#: agent fields a kernel must not be compiled from, as (field, value, set on every agent)
+BAD_AGENT_FIELDS = [
+    ("neighbors", ((-1, 1.0),), False),
+    ("neighbors", ((1.0, 1.0),), False),
+    ("neighbors", ((1, "1"),), False),
+    ("neighbors", ((1, "x"),), False),
+    ("neighbors", ((1, True),), False),
+    ("neighbors", ((1, -1.0),), False),
+    ("neighbors", ((1, np.inf),), False),
+    ("neighbors", ((0, 1.0),), False),
+    ("neighbors", ((2, 1.0), (1, 1.0)), False),
+    ("depth", 2, True),
+    ("depth", 0, True),
+    ("depth", True, True),
+    ("depth", 1.5, True),
+    ("depth", 1.0, True),
+    ("gain", -4.0, True),
+    ("gain", 0.0, True),
+    ("gain", True, True),
+    ("gain", "4", True),
+    ("gain", np.nan, True),
+    ("id", True, False),
+    ("id", 1.0, False),
+]
+
+
+class TestAgentFieldsAreRead:
+    """A kernel is compiled only from agent fields that ``Agent._read``
+    accepts, by the stacked round and by one agent's own velocity alike;
+    example2's agent 1 has dimension 1 and neighbor 2."""
+
+    @staticmethod
+    def _local_velocity(agents):
+        first = agents[0]
+        received = {j: (np.zeros(1), np.zeros(1)) for j in (-1, 0, 1, 2, 3)}
+        return first.local_velocity(first.x, first.lam, first.mu, received)
+
+    @staticmethod
+    def _round(agents):
+        return synchronous_round(agents, 1e-3, "euler")
+
+    @pytest.mark.parametrize("entry, field, value, every", [
+        *((entry, *case) for entry in ("_round", "_local_velocity") for case in BAD_AGENT_FIELDS),
+        ("_round", "neighbors", ((1, 1.0), (3, 1.0)), False),
+    ])
+    def test_rejected_naming_the_agent(self, example2, entry, field, value, every):
+        agents = build_agents(example2.problem)
+        for a in agents if every else agents[:1]:
+            setattr(a, field, value)
+        with pytest.raises(ProtocolError, match=r"^(agent 1's |an agent id )"):
+            getattr(self, entry)(agents)
+        assert all(a.round_index == 0 and a._stack is example2.problem.kernel for a in agents)
+
+    def test_read_values_compile_the_same_kernel_once(self, example2):
+        p = example2.problem
+        agents, reference = build_agents(p), build_agents(p)
+        for a in agents:
+            a.id, a.depth, a.gain = np.int64(a.id), np.int64(a.depth), np.float64(a.gain)
+            a.neighbors = [(np.int64(j), int(w) if w == int(w) else w) for j, w in a.neighbors]
+        for got, want in zip(self._local_velocity(agents), self._local_velocity(reference)):
+            assert got.tobytes() == want.tobytes()
+        self._round(agents)
+        kernel = agents[0]._stack
+        assert kernel is not p.kernel
+        assert [type(a.id) for a in agents] == [int] * 3
+        assert all(a.depth is kernel.depth and a.gain is kernel.gain for a in agents)
+        self._round(agents)
+        self._round(reference)
+        self._round(reference)
+        assert agents[0]._stack is kernel
+        for a, b in zip(agents, reference):
+            for name in ("x", "lam", "mu"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
