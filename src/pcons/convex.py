@@ -27,7 +27,7 @@ from .errors import ConvexityError, InvalidInputError, _integer, _positive, _rea
 #: a coordinate counts as sitting on an absolute-value kink below this distance
 KINK_TOLERANCE = 1e-12
 
-#: positions of the atom families in ``NormalForm.atoms``
+#: positions of the atom families in ``NormalForm.atoms`` and ``ConvexExpr._families``
 QUAD, ABS, EXP = range(3)
 
 
@@ -97,29 +97,26 @@ def _columns(atoms):
 
 
 class _Atoms:
-    """One atom family (``"quad"``, ``"abs"`` or ``"exp"``) of many
-    expressions, flattened.
+    """One atom family (``QUAD``, ``ABS`` or ``EXP``) of many expressions'
+    ``_families``, flattened.
 
     ``coord`` indexes the point and ``pos`` the accumulator the atoms
-    add into.  ``add`` scatters with ``np.add.at``, which adds duplicate
-    atoms one at a time, in the order their expression lists them.  An
-    empty family keeps only its ``size`` 0, and every reader skips it by
-    its size.
+    add into; a square's ``weight`` is doubled.  ``add`` scatters with
+    ``np.add.at``, which adds duplicate atoms one at a time, in the order
+    their expression lists them.  An empty family keeps only its ``size``
+    0, and every reader skips it by its size.
     """
 
     size = 0
 
     def __init__(self, family, parts):
-        # parts: (pos offset, coord offset, expression); a square's weight is doubled
-        parts = [(p0 + idx, c0 + idx, e) for p0, c0, e in parts
-                 if len(idx := getattr(e, f"{family}_idx"))]
+        # parts: (pos offset, coord offset, expression)
+        parts = [(p0 + idx, c0 + idx, center, weight) for p0, c0, e in parts
+                 for idx, center, weight in (e._families[family],) if len(idx)]
         if not parts:
             return
-        pos, coord, exprs = zip(*parts)
-        self.pos, self.coord = np.concatenate(pos), np.concatenate(coord)
-        self.center = np.concatenate([getattr(e, f"{family}_center", ()) for e in exprs])
-        weight = np.concatenate([getattr(e, f"{family}_weight") for e in exprs])
-        self.weight = 2.0 * weight if family == "quad" else weight
+        self.pos, self.coord, self.center, weight = map(np.concatenate, zip(*parts))
+        self.weight = 2.0 * weight if family == QUAD else weight
         self.size = len(self.pos)
 
     def add(self, acc, values):
@@ -177,11 +174,8 @@ class NormalForm:
 
     @classmethod
     def of(cls, e: "ConvexExpr") -> "NormalForm":
-        return cls(e.dim, e.lin.tolist(), e.const, (
-            list(zip(e.quad_idx.tolist(), e.quad_center.tolist(), e.quad_weight.tolist())),
-            list(zip(e.abs_idx.tolist(), e.abs_center.tolist(), e.abs_weight.tolist())),
-            [(k, 0.0, w) for k, w in zip(e.exp_idx.tolist(), e.exp_weight.tolist())],
-        ))
+        return cls(e.dim, e.lin.tolist(), e.const, tuple(
+            list(zip(*(a.tolist() for a in fam))) for fam in e._families))
 
     @classmethod
     def atom(cls, dim, family, coord, center, weight, const=0.0) -> "NormalForm":
@@ -237,9 +231,9 @@ class ConvexExpr:
     exp_weight: np.ndarray
 
     def __post_init__(self):
-        for name in ("lin", "quad_idx", "quad_center", "quad_weight",
-                     "abs_idx", "abs_center", "abs_weight", "exp_idx", "exp_weight"):
-            getattr(self, name).setflags(write=False)
+        for value in vars(self).values():  # every array field, with no allocation
+            if type(value) is np.ndarray:
+                value.setflags(write=False)
 
     # -- construction ----------------------------------------------------
 
@@ -252,17 +246,28 @@ class ConvexExpr:
 
     @property
     def is_affine(self) -> bool:
-        return not (len(self.quad_idx) or len(self.abs_idx) or len(self.exp_idx))
+        return not any(len(idx) for idx, _, _ in self._families)
 
     def kink_locations(self):
         """(coord, center) pairs where the expression is nondifferentiable."""
         return list(zip(self.abs_idx.tolist(), self.abs_center.tolist()))
 
     @cached_property
+    def _families(self):
+        """(coords, centers, weights) of each atom family, in ``QUAD``,
+        ``ABS``, ``EXP`` order, as ``NormalForm.atoms`` holds them: an
+        exponential's centers are zeros.  Built on first use."""
+        exp_center = np.zeros(len(self.exp_idx))
+        exp_center.setflags(write=False)
+        return ((self.quad_idx, self.quad_center, self.quad_weight),
+                (self.abs_idx, self.abs_center, self.abs_weight),
+                (self.exp_idx, exp_center, self.exp_weight))
+
+    @cached_property
     def _atoms(self):
-        """The square, absolute-value and exponential ``_Atoms`` of this
-        expression alone, built on first use."""
-        return tuple(_Atoms(family, [(0, 0, self)]) for family in ("quad", "abs", "exp"))
+        """The ``_Atoms`` of each family of this expression alone, built
+        on first use."""
+        return tuple(_Atoms(family, [(0, 0, self)]) for family in (QUAD, ABS, EXP))
 
     # -- evaluation ------------------------------------------------------
 
@@ -351,14 +356,8 @@ class ConvexExpr:
             self.dim == other.dim
             and np.array_equal(self.lin, other.lin)
             and self.const == other.const
-            and np.array_equal(self.quad_idx, other.quad_idx)
-            and np.array_equal(self.quad_center, other.quad_center)
-            and np.array_equal(self.quad_weight, other.quad_weight)
-            and np.array_equal(self.abs_idx, other.abs_idx)
-            and np.array_equal(self.abs_center, other.abs_center)
-            and np.array_equal(self.abs_weight, other.abs_weight)
-            and np.array_equal(self.exp_idx, other.exp_idx)
-            and np.array_equal(self.exp_weight, other.exp_weight)
+            and all(np.array_equal(a, b) for mine, theirs in zip(self._families, other._families)
+                    for a, b in zip(mine, theirs))
         )
 
 

@@ -45,9 +45,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .convex import (
-    Box, ConstraintMap, ConvexExpr, _Atoms, _box_violation, _interval, _selected, no_constraints,
-)
+from .convex import (ABS, EXP, QUAD, Box, ConstraintMap, ConvexExpr, _Atoms, _box_violation,
+                     _interval, _selected, no_constraints)
 from .errors import (
     DivergenceError, InvalidInputError, NumericalError, _integer, _positive, _reals,
 )
@@ -292,10 +291,9 @@ def _value_entries(values, row, f, start):
     """Add the value rows of expression ``f`` on the block at ``start`` to
     ``values``: lin.x + const, then each nonempty atom family."""
     values["lin"].append((row, np.arange(start, start + f.dim), None, f.lin, f.const))
-    for fam, cen in (("quad", f.quad_center), ("abs", f.abs_center), ("exp", None)):
-        idx = getattr(f, f"{fam}_idx")
+    for fam, (idx, center, weight) in zip(("quad", "abs", "exp"), f._families):
         if len(idx):
-            values[fam].append((row, start + idx, cen, getattr(f, f"{fam}_weight"), None))
+            values[fam].append((row, start + idx, None if fam == "exp" else center, weight, None))
 
 
 def _dot_values(groups, xs, out):
@@ -410,9 +408,9 @@ class VelocityKernel:
         self.opaque = tuple(opaque)
         self.objective_dots = {fam: _group_dots(v) for fam, v in objective_values.items()}
         self.value_dots = {fam: _group_dots(v) for fam, v in values.items()}
-        self.quad, self.abs, self.exp = (_Atoms(fam, objectives) for fam in ("quad", "abs", "exp"))
+        self.quad, self.abs, self.exp = (_Atoms(fam, objectives) for fam in (QUAD, ABS, EXP))
         self.con_quad, self.con_abs, self.con_exp = (
-            _Atoms(fam, constraints) for fam in ("quad", "abs", "exp"))
+            _Atoms(fam, constraints) for fam in (QUAD, ABS, EXP))
         self.con_lin = np.asarray(con_lin, dtype=float)
         self.con_coord = np.asarray(con_coord, dtype=int)
         self.con_row = np.asarray(con_row, dtype=int)
@@ -723,7 +721,7 @@ def _step(kernel, stage, capture, z, k1, n, t, h, method):
 @_QUIET
 def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "rk4") -> SolverState:
     """One fixed step of the flow (no kink capture; see ``integrate``)."""
-    _check_settings(h, method)
+    h = _check_settings(h, method)[0]
     z = _packed_state(state, problem)
     kernel = problem.kernel
     new = _step(kernel, _Exchange(kernel).stage, False, z, None, 0, state.t, h, method)
@@ -892,7 +890,7 @@ def integrate(
     ``DIVERGENCE_NORM`` raises ``DivergenceError`` carrying the last
     finite state.
     """
-    _check_settings(h, method, t_max, kkt_tol, record_every)
+    h, t_max, kkt_tol = _check_settings(h, method, t_max, kkt_tol, record_every)
     state = init if init is not None else initial_state(problem, "zeros")
     z = _packed_state(state, problem)
     kernel = problem.kernel

@@ -28,6 +28,7 @@ each block's table in bulk.
 """
 from __future__ import annotations
 
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
@@ -173,15 +174,21 @@ class Agent:
         the depth from 1 to the problem's dimension; a finite positive gain
         and weights (``errors._positive``); integer neighbor indices that
         ascend (a repeat is a parallel edge), skip the agent's own and,
-        among ``n`` agents, are below n."""
+        among ``n`` agents, are below n; each neighbor is one (index,
+        weight) pair."""
         i = _integer(self.id, "an agent id", 1, ProtocolError)
         depth = _integer(self.depth, f"agent {i}'s depth", 1, ProtocolError)
         if depth > self.problem.dim:
             raise ProtocolError(f"agent {i}'s depth {depth} exceeds its dimension "
                                 f"{self.problem.dim}")
+        try:
+            pairs = [(j, w) for j, w in self.neighbors]
+        except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+            raise ProtocolError(f"agent {i}'s neighbors must be (index, weight) pairs, "
+                                f"got {reprlib.repr(self.neighbors)}") from None
         neighbors = tuple((_integer(j, f"agent {i}'s neighbor index", 0, ProtocolError),
                            _positive(w, f"agent {i}'s weight of neighbor {j!r}",
-                                     error=ProtocolError)) for j, w in self.neighbors)
+                                     error=ProtocolError)) for j, w in pairs)
         index = [j for j, _ in neighbors]
         if index != sorted(index) or i - 1 in index or n is not None and max(index, default=0) >= n:
             raise ProtocolError(f"agent {i}'s neighbor indices {index} must ascend, skip its "
@@ -189,18 +196,25 @@ class Agent:
         return i, depth, _positive(self.gain, f"agent {i}'s gain", error=ProtocolError), neighbors
 
     def payload(self, x=None, lam=None):
-        """Shared components broadcast to neighbors (stage state override)."""
-        x = self.x if x is None else x
-        lam = self.lam if lam is None else lam
-        return x[: self.depth].copy(), lam[: self.depth].copy()
+        """Shared components broadcast to neighbors: float copies of the
+        first ``depth`` entries of x and lambda, the agent's own or a stage
+        state's.  The agent's fields are read by ``_read``, x and lambda as
+        ``_own_block`` reads them."""
+        depth, n = self._read()[1], self.problem.dim
+        return tuple(_reals(v, f"agent {self.id} {name}", (n,))[:depth].copy()
+                     for v, name in ((self.x if x is None else x, "x"),
+                                     (self.lam if lam is None else lam, "lambda")))
 
     def local_velocity(self, x, lam, mu, received):
         """Velocity of the own block from own data plus neighbor payloads.
 
         ``received`` maps neighbor index to (x_shared, lam_shared); a
-        missing payload, or a part that is not ``depth`` real numbers, is a
-        protocol violation.  Compiles this agent alone into a velocity
-        kernel, runs it and returns (dx, dlambda_shared, dmu, g).
+        missing payload, or a part that is not ``depth`` finite real
+        numbers, is a protocol violation.  x, lambda and mu are read as
+        ``_own_block`` reads them and must be finite, else
+        ``InvalidInputError`` names the first non-finite entry, as
+        ``synchronous_round`` does.  Compiles this agent alone into a
+        velocity kernel, runs it and returns (dx, dlambda_shared, dmu, g).
         """
         i, depth, gain, neighbors = self._read()
         parts = []
@@ -208,12 +222,17 @@ class Agent:
             if j not in received:
                 raise ProtocolError(f"agent {i} missing payload from agent {j + 1}")
             parts.append([_reals(part, f"agent {i} received a payload from agent {j + 1} "
-                                 f"whose {name} part", (depth,), ProtocolError)
+                                 f"whose {name} part", (depth,), ProtocolError, finite=True)
                           for part, name in zip(received[j], ("x", "lambda"))])
+        own = self._own_block(x, lam, mu)
+        for v, name in zip(own, ("x", "lambda", "mu")):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if len(bad):
+                raise InvalidInputError(f"agent {i}, {name}_{bad[0] + 1} must be finite")
         kernel = VelocityKernel([self.problem], [neighbors], depth, gain)
         shape = (1, len(neighbors), depth)
         recv_x, recv_lam = (np.array([p[k] for p in parts]).reshape(shape) for k in (0, 1))
-        dx, dlam, dmu, g = kernel.evaluate(*self._own_block(x, lam, mu), recv_x, recv_lam)
+        dx, dlam, dmu, g = kernel.evaluate(*own, recv_x, recv_lam)
         return dx, dlam[0], dmu, g
 
     def _own_block(self, x, lam, mu):
@@ -315,7 +334,7 @@ def synchronous_round(agents, h, method="rk4", capture=True, log=None):
     """
     if not agents:
         raise InvalidInputError("synchronous_round needs at least one agent")
-    _check_settings(h, method)
+    h = _check_settings(h, method)[0]
     rounds = {a.round_index for a in agents}
     if len(rounds) != 1:
         raise ProtocolError(f"agents out of sync: round numbers {sorted(rounds)}")
@@ -357,7 +376,7 @@ def run_decentralized(
     ``MessageLog`` or a list as ``message_log`` to record every payload;
     a list receives the messages when the run ends, also when it raises.
     """
-    _check_settings(h, method, t_max, kkt_tol, record_every)
+    h, t_max, kkt_tol = _check_settings(h, method, t_max, kkt_tol, record_every)
     state = init if init is not None else initial_state(problem, "zeros")
     z = _packed_state(state, problem)
     if not laplacian_is_connected(problem.laplacian):

@@ -270,11 +270,10 @@ def _shifted_var(coord, center):
 
 def format_expression(e: ConvexExpr) -> str:
     """Canonical string form; reparsing yields an equal expression."""
-    atoms = ([(f"({_shifted_var(k, c)})^2", w)
-              for k, c, w in zip(e.quad_idx, e.quad_center, e.quad_weight)]
-             + [(f"abs({_shifted_var(k, c)})", w)
-                for k, c, w in zip(e.abs_idx, e.abs_center, e.abs_weight)]
-             + [(f"exp(x{k + 1})", w) for k, w in zip(e.exp_idx, e.exp_weight)])
+    # an exponential's center is 0, which _shifted_var leaves out
+    atoms = [(form.format(_shifted_var(k, c)), w)
+             for form, family in zip(("({})^2", "abs({})", "exp({})"), e._families)
+             for k, c, w in zip(*family)]
     parts = [(False, text if w == 1.0 else f"{_fmt(w)}*{text}") for text, w in atoms]
     for k in np.flatnonzero(e.lin):  # (negative, text)
         a = e.lin[k]
