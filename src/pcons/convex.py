@@ -16,13 +16,15 @@ the velocity kernel in ``pcons.dynamics`` to every agent's at once.
 """
 from __future__ import annotations
 
+import reprlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 
 import numpy as np
 
-from .errors import ConvexityError, InvalidInputError, _integer, _positive, _reals
+from .errors import ConvexityError, InvalidInputError, _integer, _positive, _reals, _rng
 
 #: a coordinate counts as sitting on an absolute-value kink below this distance
 KINK_TOLERANCE = 1e-12
@@ -446,7 +448,9 @@ class Box:
         return float(_box_violation(self, self._point(x)))
 
     def sample(self, rng) -> np.ndarray:
-        """Uniform sample; unbounded directions fall back to a unit window."""
+        """Uniform sample drawn by ``rng``, a numpy ``Generator`` or
+        ``RandomState``; unbounded directions fall back to a unit window."""
+        _rng(rng)
         lo = np.where(np.isfinite(self.lower), self.lower, np.minimum(self.upper - 1.0, -1.0))
         hi = np.where(np.isfinite(self.upper), self.upper, np.maximum(lo + 2.0, 1.0))
         return rng.uniform(lo, hi)
@@ -501,12 +505,16 @@ def in_normal_cone(box: Box, x, w, tol: float = 1e-9) -> bool:
 
 @dataclass(frozen=True)
 class ConstraintMap:
-    """Stacked convex inequality constraints g(x) <= 0 on one agent."""
+    """Stacked convex inequality constraints g(x) <= 0 on one agent; the
+    components must be ``ConvexExpr``s, which the velocity kernel compiles."""
 
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = tuple(self.components) if isinstance(self.components, Iterable) else None
+        if comps is None or not all(isinstance(c, ConvexExpr) for c in comps):
+            raise InvalidInputError(f"constraint components must be ConvexExprs, got "
+                                    f"{reprlib.repr(self.components)}")
         dims = {c.dim for c in comps}
         if len(dims) > 1:
             raise InvalidInputError(f"constraint components disagree on dimension: {dims}")

@@ -48,7 +48,7 @@ import numpy as np
 from .convex import (ABS, EXP, QUAD, Box, ConstraintMap, ConvexExpr, _Atoms, _box_violation,
                      _interval, _selected, no_constraints)
 from .errors import (
-    DivergenceError, InvalidInputError, NumericalError, _integer, _positive, _reals,
+    DivergenceError, InvalidInputError, NumericalError, _integer, _positive, _reals, _rng,
 )
 from .pcmatrix import (
     AgentDims,
@@ -75,13 +75,19 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class AgentProblem:
-    """One agent's objective, inequality constraints and feasible box."""
+    """One agent's objective, inequality constraints (a ``ConstraintMap``)
+    and feasible box (a ``Box``, or None for the whole space)."""
 
     objective: ConvexExpr
     constraints: ConstraintMap = field(default_factory=no_constraints)
     box: Box = None
 
     def __post_init__(self):
+        if not isinstance(self.constraints, ConstraintMap):
+            raise InvalidInputError(f"constraints must be a ConstraintMap, got "
+                                    f"{type(self.constraints).__name__}")
+        if not (self.box is None or isinstance(self.box, Box)):
+            raise InvalidInputError(f"box must be a Box or None, got {type(self.box).__name__}")
         if self.box is None:
             from .convex import whole_space
 
@@ -171,7 +177,9 @@ class ProblemInstance:
             total += values
         return total
 
+    @_QUIET
     def constraint_values(self, x) -> np.ndarray:
+        """g(x) of every constraint row; one that overflows is inf, without a warning."""
         return self.kernel.constraint_values(self._stacked(x))
 
     def box_violation(self, x) -> float:
@@ -244,9 +252,8 @@ def initial_state(problem: ProblemInstance, kind: str = "zeros", rng=None) -> So
     drawn by ``rng``, a numpy ``Generator`` or ``RandomState`` (default
     ``default_rng(0)``); any other ``rng`` raises ``InvalidInputError``."""
     n, m = problem.total_dim, problem.multiplier_dim
-    if not (rng is None or isinstance(rng, (np.random.Generator, np.random.RandomState))):
-        raise InvalidInputError(f"rng must be a numpy Generator or RandomState, got "
-                                f"{type(rng).__name__}")
+    if rng is not None:
+        _rng(rng)
     if kind == "zeros":
         return SolverState(np.zeros(n), np.zeros(n), np.zeros(m), 0.0)
     if kind == "random":
@@ -603,7 +610,8 @@ class _Exchange:
 
 
 def _check_state(state, problem):
-    """Float copies of (x, lambda, mu) of a state that fits ``problem``.
+    """(z, t): a fresh packed float state z = [x, lambda, mu] and its time
+    as a float, of a state that fits ``problem``; the one state reader.
 
     Rejects a state that is not a ``SolverState``, entries that are not
     real numbers (``errors._reals``), arrays of the wrong shape,
@@ -612,10 +620,9 @@ def _check_state(state, problem):
     if not isinstance(state, SolverState):
         raise InvalidInputError(f"state must be a SolverState, got {type(state).__name__}")
     n, m = problem.total_dim, problem.multiplier_dim
-    z = tuple(_reals(arr, f"state.{name}", (want,), finite=True).copy() for name, arr, want
-              in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m)))
-    _reals(state.t, "state time", 0, finite=True)
-    return z
+    z = np.concatenate([_reals(arr, f"state.{name}", (want,), finite=True) for name, arr, want
+                        in (("x", state.x, n), ("lambda", state.lam, n), ("mu", state.mu, m))])
+    return z, float(_reals(state.t, "state time", 0, finite=True))
 
 
 def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1):
@@ -632,21 +639,17 @@ def _check_settings(h, method, t_max=1.0, kkt_tol=1.0, record_every=1):
     return floats
 
 
-def _packed_state(state, problem) -> np.ndarray:
-    """The packed float state z = [x, lambda, mu] of a checked ``state``."""
-    return np.concatenate(_check_state(state, problem))
-
-
 @_QUIET
 def rhs(state: SolverState, problem: ProblemInstance):
     """(dx, dlambda, dmu) of the flow at ``state``; dlambda is +0.0 off
     the shared block."""
     kernel = problem.kernel
-    dz, _ = _Exchange(kernel).stage(_packed_state(state, problem))
+    z, t = _check_state(state, problem)
+    dz, _ = _Exchange(kernel).stage(z)
     finite = np.isfinite(dz)
     if not finite.all():
         where = kernel.locate(int(np.argmin(finite)))
-        raise NumericalError(f"non-finite velocity at t={state.t}: {where}")
+        raise NumericalError(f"non-finite velocity at t={t}: {where}")
     dx, dlam_stay, dmu = kernel.split(dz)
     dlam = np.zeros(problem.total_dim)
     dlam[kernel.shared] = dlam_stay[kernel.shared]
@@ -677,7 +680,7 @@ def kkt_residual(state: SolverState, problem: ProblemInstance) -> KKTResidual:
     part of g(x).
     """
     kernel = problem.kernel
-    velocity = _Exchange(kernel).stage(_packed_state(state, problem))
+    velocity = _Exchange(kernel).stage(_check_state(state, problem)[0])
     return KKTResidual(*_residual_norms(kernel, velocity))
 
 
@@ -722,10 +725,10 @@ def _step(kernel, stage, capture, z, k1, n, t, h, method):
 def step(state: SolverState, problem: ProblemInstance, h: float, method: str = "rk4") -> SolverState:
     """One fixed step of the flow (no kink capture; see ``integrate``)."""
     h = _check_settings(h, method)[0]
-    z = _packed_state(state, problem)
+    z, t = _check_state(state, problem)
     kernel = problem.kernel
-    new = _step(kernel, _Exchange(kernel).stage, False, z, None, 0, state.t, h, method)
-    return SolverState(*kernel.split(new), state.t + h)
+    new = _step(kernel, _Exchange(kernel).stage, False, z, None, 0, t, h, method)
+    return SolverState(*kernel.split(new), t + h)
 
 
 def capture_agent_kinks(agent, table, x_block, x_prev_block, k1_block, mu_block, h, gain):
@@ -891,10 +894,9 @@ def integrate(
     finite state.
     """
     h, t_max, kkt_tol = _check_settings(h, method, t_max, kkt_tol, record_every)
-    state = init if init is not None else initial_state(problem, "zeros")
-    z = _packed_state(state, problem)
+    z, t = _check_state(init if init is not None else initial_state(problem, "zeros"), problem)
     kernel = problem.kernel
-    return _drive(problem, kernel, _Exchange(kernel).stage, capture_kinks, z, state.t,
+    return _drive(problem, kernel, _Exchange(kernel).stage, capture_kinks, z, t,
                   h, method, t_max, kkt_tol, record_every)
 
 
@@ -912,54 +914,56 @@ class LyapunovValue:
     v4: float
 
 
-def _v1(state: SolverState, problem: ProblemInstance) -> float:
-    pp = np.maximum(state.mu + problem.constraint_values(state.x), 0.0)
-    xl = state.x + state.lam
+def _v1(z, problem: ProblemInstance) -> float:
+    x, lam, mu = problem.kernel.split(z)
+    pp = np.maximum(mu + problem.kernel.constraint_values(x), 0.0)
+    xl = x + lam
     K = problem.coupling.matrix
     return (
-        problem.objective_value(state.x)
+        float(problem._objective_sums(x))
         + 0.5 * float(pp @ pp)
         + 0.5 * float(xl @ (K @ xl))
     )
 
 
 def _lyapunov_reference(reference: SolverState, problem: ProblemInstance, ref_tol: float):
-    """(reference as float arrays, v1 at it, its selected subgradient):
-    what the descent function needs of a near-equilibrium, after checking
-    its residual."""
-    ref_res = kkt_residual(reference, problem)
-    if ref_res.max_component > ref_tol:
+    """(packed reference, v1 at it, its selected subgradient): what the
+    descent function needs of a near-equilibrium, after checking its
+    residual."""
+    kernel = problem.kernel
+    ref = _check_state(reference, problem)[0]
+    ref_res = max(_residual_norms(kernel, _Exchange(kernel).stage(ref)))
+    if ref_res > ref_tol:
         raise InvalidInputError(
-            f"reference point has residual {ref_res.max_component:.3e} > {ref_tol:.3e}; "
+            f"reference point has residual {ref_res:.3e} > {ref_tol:.3e}; "
             "not a usable equilibrium"
         )
-    kernel = problem.kernel
-    ref = SolverState(*_check_state(reference, problem), reference.t)
-    grad_ref = kernel.selected_subgradient(ref.x, ref.lam, ref.mu, *kernel.gathered(ref.x, ref.lam))
+    x, lam, mu = kernel.split(ref)
+    grad_ref = kernel.selected_subgradient(x, lam, mu, *kernel.gathered(x, lam))
     return ref, _v1(ref, problem), grad_ref
 
 
-def _lyapunov(state: SolverState, ref, problem: ProblemInstance) -> LyapunovValue:
-    """The descent function at ``state`` against ``_lyapunov_reference``'s ``ref``."""
+def _lyapunov(z, ref, problem: ProblemInstance) -> LyapunovValue:
+    """The descent function at the packed ``z`` against ``_lyapunov_reference``'s ``ref``."""
     reference, v1_ref, grad_ref = ref
     K = problem.coupling.matrix
     gain = problem.gain
-    v1 = _v1(state, problem)
-    dx = state.x - reference.x
-    dl = state.lam - reference.lam
-    dm = state.mu - reference.mu
+    v1 = _v1(z, problem)
+    ref_x, ref_lam, ref_mu = problem.kernel.split(reference)
+    dx, dl, dm = problem.kernel.split(z - reference)
     v2 = (
         v1
         - v1_ref
         - float(grad_ref @ dx)
-        - float((reference.x + reference.lam) @ (K @ dl))
-        - float(reference.mu @ dm)
+        - float((ref_x + ref_lam) @ (K @ dl))
+        - float(ref_mu @ dm)
     )
     v3 = 0.5 * float(dx @ dx) + 0.5 * (2.0 * gain * float(dl @ dl) - float(dl @ (K @ dl)))
     v4 = 0.5 * float(dm @ dm)
     return LyapunovValue(total=v1 + v2 + v3 + v4, v1=v1, v2=v2, v3=v3, v4=v4)
 
 
+@_QUIET
 def lyapunov_value(
     state: SolverState,
     reference: SolverState,
@@ -968,15 +972,17 @@ def lyapunov_value(
 ) -> LyapunovValue:
     """Evaluate the descent function at ``state`` against a converged point.
 
+    Both states are read by ``_check_state``, ``state`` first.
     ``reference`` must be a near-equilibrium (its residual max-component
     at most ``ref_tol``), otherwise the quadratic comparison terms are
     meaningless and ``InvalidInputError`` is raised; so it is when
-    ``ref_tol`` is not a finite positive real.  Along a trajectory of
-    ``integrate`` the total is nonincreasing up to discretization error.
+    ``ref_tol`` is not a finite positive real.  An overflow gives inf,
+    without a warning.  Along a trajectory of ``integrate`` the total is
+    nonincreasing up to discretization error.
     """
     ref_tol = _positive(ref_tol, "ref_tol")
-    state = SolverState(*_check_state(state, problem), state.t)
-    return _lyapunov(state, _lyapunov_reference(reference, problem, ref_tol), problem)
+    z = _check_state(state, problem)[0]
+    return _lyapunov(z, _lyapunov_reference(reference, problem, ref_tol), problem)
 
 
 # -- trajectory export -------------------------------------------------------
@@ -990,6 +996,7 @@ def _write_rows(fh, row, columns):
         fh.write("".join(map(row.__mod__, zip(*part))))
 
 
+@_QUIET
 def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance, reference=None):
     """Write the recorded trajectory as CSV.
 
@@ -1000,7 +1007,8 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
     trajectory's blocks, and the objective and V columns are computed per
     block from ``problem``, not from the run's own problem.  ``problem``
     must have the trajectory's dimensions, else ``InvalidInputError`` is
-    raised before the file is opened.
+    raised before the file is opened.  A value that overflows is written
+    as inf, without a warning.
     """
     n, m = problem.total_dim, problem.multiplier_dim
     if (n, 2 * n + m) != (trajectory._n, trajectory._width):
@@ -1028,6 +1036,5 @@ def write_trajectory_csv(trajectory: Trajectory, path, problem: ProblemInstance,
             columns = [rows[:, t], *rows[:, :w].T, problem._objective_sums(rows[:, :n]),
                        *rows[:, trajectory._res].T]
             if ref is not None:
-                columns.append(np.array([_lyapunov(st, ref, problem).total
-                                         for st in trajectory._states(rows)]))
+                columns.append(np.array([_lyapunov(z, ref, problem).total for z in rows[:, :w]]))
             _write_rows(fh, row, columns)

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the checks that every
 entry point applies to a value from outside the program: ``_positive``
-and ``_integer`` read one number, and ``_reals`` is the one reader of an
-array or a real number, its shape and, where asked, its finiteness.
+and ``_integer`` read one number, ``_rng`` a numpy random generator, and
+``_reals`` is the one reader of an array or a real number, its shape and,
+where asked, its finiteness.
 Nothing else converts an argument, so nothing is silently converted.
 """
 import math
@@ -76,6 +77,14 @@ def _integer(value, what, least, error=InvalidInputError) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise error(f"{what} must be an integer >= {least} (a whole number), got {value!r}")
     return int(value)
+
+
+def _rng(value):
+    """``value``; it must be a numpy ``Generator`` or ``RandomState``."""
+    if not isinstance(value, (np.random.Generator, np.random.RandomState)):
+        raise InvalidInputError(f"rng must be a numpy Generator or RandomState, got "
+                                f"{type(value).__name__}")
+    return value
 
 
 def _all_real(value) -> bool:

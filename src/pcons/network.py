@@ -47,7 +47,6 @@ from .dynamics import (
     _check_settings,
     _check_state,
     _drive,
-    _packed_state,
     _step,
     _write_rows,
     initial_state,
@@ -253,9 +252,9 @@ def build_agents(problem: ProblemInstance, init: SolverState = None):
     """
     if not laplacian_is_connected(problem.laplacian):
         raise InvalidInputError("the coupling graph must be connected")
-    x, lam, mu = _check_state(init if init is not None else initial_state(problem, "zeros"),
-                              problem)
     kernel, agents = problem.kernel, []
+    z, _ = _check_state(init if init is not None else initial_state(problem, "zeros"), problem)
+    x, lam, mu = kernel.split(z)
     for i, (ap, s, ms) in enumerate(zip(kernel.agents, kernel.blocks, kernel.mu_blocks)):
         agents.append(Agent(i + 1, ap, problem.depth, problem.gain, problem.neighbors[i],
                             x[s], lam[s], mu[ms]))
@@ -377,14 +376,13 @@ def run_decentralized(
     a list receives the messages when the run ends, also when it raises.
     """
     h, t_max, kkt_tol = _check_settings(h, method, t_max, kkt_tol, record_every)
-    state = init if init is not None else initial_state(problem, "zeros")
-    z = _packed_state(state, problem)
+    z, t = _check_state(init if init is not None else initial_state(problem, "zeros"), problem)
     if not laplacian_is_connected(problem.laplacian):
         raise InvalidInputError("the coupling graph must be connected")
     kernel = problem.kernel
     with _table_log(message_log) as table:
         exchange = _Exchange(kernel, table)
-        trajectory = _drive(problem, kernel, exchange.stage, capture_kinks, z, state.t, h,
+        trajectory = _drive(problem, kernel, exchange.stage, capture_kinks, z, t, h,
                             method, t_max, kkt_tol, record_every)
     trajectory.message_count = exchange.sent
     trajectory.messages_per_step = len(kernel.edges) * (1 if method == "euler" else 4)

@@ -42,10 +42,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from dataclasses import asdict, dataclass
 from importlib import resources
 from itertools import chain
 from operator import itemgetter
+from pathlib import PurePath
 
 import numpy as np
 
@@ -251,7 +253,10 @@ class _Parser:
 
 
 def parse_expression(text: str, dim: int) -> ConvexExpr:
-    """Parse one expression string over x1..x{dim}."""
+    """Parse one expression string over x1..x{dim}; anything but a
+    ``str`` raises ``ExpressionError``."""
+    if not isinstance(text, str):
+        raise ExpressionError(f"an expression must be a string, got {reprlib.repr(text)}")
     return _Parser(text, _integer(dim, "dim", 1)).parse()
 
 
@@ -269,7 +274,9 @@ def _shifted_var(coord, center):
 
 
 def format_expression(e: ConvexExpr) -> str:
-    """Canonical string form; reparsing yields an equal expression."""
+    """Canonical string form of a ``ConvexExpr``; reparsing yields an equal expression."""
+    if not isinstance(e, ConvexExpr):
+        raise InvalidInputError(f"format_expression takes a ConvexExpr, got {type(e).__name__}")
     # an exponential's center is 0, which _shifted_var leaves out
     atoms = [(form.format(_shifted_var(k, c)), w)
              for form, family in zip(("({})^2", "abs({})", "exp({})"), e._families)
@@ -419,8 +426,11 @@ def serialize_problem(problem: ProblemInstance, settings: SolverSettings = None)
 
 
 def fixture_path(name: str):
-    """Path of a packaged example problem file."""
-    path = resources.files("pcons").joinpath("fixtures", name)
-    if not path.is_file():
+    """Path of a packaged example problem file: ``name`` must be a ``str``
+    naming a file directly inside the fixtures directory, with no path
+    separator and no "..", else ``InvalidInputError``."""
+    plain = isinstance(name, str) and PurePath(name).name == name and ".." not in name
+    path = resources.files("pcons").joinpath("fixtures", name) if plain else None
+    if path is None or not path.is_file():
         raise InvalidInputError(f"no packaged fixture named {name!r}")
     return path
