@@ -69,31 +69,6 @@ def _weighted_sum(cols, weights):
     return out
 
 
-def _family_sum(cols, weights):
-    """The weighted sum of one atom family's gathered columns over the
-    last axis.
-
-    At one point it is ``_weighted_sum``, the sum that the velocity
-    kernel's ``np.vecdot`` rows reproduce.  On a stack of points each
-    point adds its products to 0.0 left to right, on its own (with one
-    column, that is ``_weighted_sum`` too).  ``@`` would not do there:
-    ``pts[..., idx]`` puts the atom axis outermost in memory, and ``@``
-    then picks its BLAS summation order by the number of rows, so a
-    block of rows got other last bits than the same rows of the whole.
-    A stack is summed in place, in few numpy calls (the oracle's stripe
-    threads trade the interpreter lock at each one): the products
-    overwrite ``cols``, and the sum is a view of its first column.
-    """
-    if cols.ndim == 1:
-        return _weighted_sum(cols, weights)
-    cols *= weights
-    out = cols[..., 0]
-    out += 0.0
-    for j in range(1, weights.shape[0]):
-        out += cols[..., j]
-    return out
-
-
 #: why a nonlinear form cannot be scaled by a negative factor
 NEGATIVE_SCALE = "scaling a nonlinear convex atom by a negative factor breaks convexity"
 
@@ -309,13 +284,8 @@ class ConvexExpr:
         writes into ``points``.  Each atom family gathers one copy
         of its columns and updates it in place, and the total grows in
         place.  The values are bit for bit those of ``points @ lin +
-        const`` plus each family's weighted sum of its terms, added in
-        that order (``_weighted_sum`` and ``_family_sum`` say how).  On
-        a C-ordered stack of three or more dimensions, ``@`` runs one
-        matrix-vector product per (points, dim) matrix and the families
-        sum every point on its own, so a block of leading rows gets the
-        bits of those rows in the whole, as the grid oracle's blocked
-        scan needs.
+        const`` plus each family's ``terms @ weights``, added in that
+        order (``_weighted_sum`` says how a one-column sum keeps them).
         """
         pts = _reals(points, "expression points")
         if pts.shape[-1:] != (self.dim,):
@@ -328,14 +298,14 @@ class ConvexExpr:
             d = pts[..., self.quad_idx]  # an integer index gathers a copy
             d -= self.quad_center
             d *= d
-            total += _family_sum(d, self.quad_weight)
+            total += _weighted_sum(d, self.quad_weight)
         if len(self.abs_idx):
             d = pts[..., self.abs_idx]
             d -= self.abs_center
-            total += _family_sum(np.abs(d, out=d), self.abs_weight)
+            total += _weighted_sum(np.abs(d, out=d), self.abs_weight)
         if len(self.exp_idx):
             d = pts[..., self.exp_idx]
-            total += _family_sum(np.exp(d, out=d), self.exp_weight)
+            total += _weighted_sum(np.exp(d, out=d), self.exp_weight)
         return total
 
     def subgradient(self, x) -> np.ndarray:

