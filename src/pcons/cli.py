@@ -6,6 +6,7 @@ error, 2 time limit reached, 3 divergence, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -14,11 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    initial_state,
-    integrate,
-    write_trajectory_csv,
-)
+from .dynamics import initial_state, integrate, write_trajectory_csv
 from .errors import DivergenceError, InvalidInputError, NumericalError, _integer
 from .network import MessageLog, run_decentralized, write_message_log_csv
 from .oracle import brute_force_solve
@@ -91,10 +88,11 @@ def _text(path, what) -> str:
 
 
 def _resolve_init(args, problem, file_init):
+    """The run's initial state; None starts the run from the zero state."""
     if args.init is None:
-        return file_init if file_init is not None else initial_state(problem, "zeros")
+        return file_init
     if args.init == "zeros":
-        return initial_state(problem, "zeros")
+        return None
     if args.init == "random":
         seed, what = args.seed, "--seed"
         if seed is None:
@@ -154,19 +152,12 @@ def cmd_solve(args) -> int:
     mode = "decentralized" if args.decentralized else "centralized"
     message_log = MessageLog() if args.log_messages else None
 
-    code = EXIT_OK
+    run = integrate
+    if args.decentralized:
+        run = functools.partial(run_decentralized, message_log=message_log)
     try:
-        if args.decentralized:
-            trajectory = run_decentralized(
-                problem, init, h=h, method=method, t_max=t_max,
-                kkt_tol=kkt_tol, record_every=args.record_every,
-                message_log=message_log,
-            )
-        else:
-            trajectory = integrate(
-                problem, init, h=h, method=method, t_max=t_max,
-                kkt_tol=kkt_tol, record_every=args.record_every,
-            )
+        trajectory = run(problem, init, h=h, method=method, t_max=t_max,
+                         kkt_tol=kkt_tol, record_every=args.record_every)
     except (DivergenceError, NumericalError) as exc:
         (out / "summary.txt").write_text(
             f"status: diverged\nmessage: {exc}\n", encoding="utf-8"
@@ -186,9 +177,7 @@ def cmd_solve(args) -> int:
         f"max_residual={trajectory.final_residual.max_component:.3e}"
     )
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.txt'}")
-    if trajectory.stop_reason == "t_max":
-        code = EXIT_TMAX
-    return code
+    return EXIT_TMAX if trajectory.stop_reason == "t_max" else EXIT_OK
 
 
 def _read_summary_objective(path) -> float:

@@ -24,8 +24,12 @@ helper runs in a copy of the caller's context, so the caller's
 ``np.errstate`` holds in it, and every helper is joined before the
 search returns or raises.  Each row's values come from the same
 ``value_many`` calls on (rows, P, dim) blocks, the rows' totals add the
-agents' best values in agent order, and stripes write disjoint rows, so
-points and values do not depend on the worker count or the block size.
+agents' best values in agent order, and stripes write disjoint rows.
+The last bits of a value may still depend on the block size and so on
+the worker count, which sets a stripe's block shape: ``value_many``'s
+``@`` (BLAS dgemv) can round a row differently by where the row sits in
+the call.  With ``_BLOCK_POINTS = 1`` a search on one instance returned
+3.3264292702829645 where the whole mesh gives 3.326429270282964.
 ``MAX_GRID_POINTS`` bounds the time of a search, and it is checked for
 every agent before any agent is evaluated.
 """
